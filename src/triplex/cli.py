@@ -287,6 +287,8 @@ def _cmd_quantize(args):
 
 def _cmd_fpcheck(args):
     model, _ = _resolve_model(args.model)
+    if args.nt < 1:
+        raise ValueError(f"--nt must be at least 1, got {args.nt}")
     grid = FourierGrid(args.grid_k, model.period)
     t_values = np.geomspace(args.t0 if args.t0 > 0 else 1e-2, args.t1, args.nt)
     if args.delta is not None and args.c is not None:

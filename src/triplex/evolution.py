@@ -513,6 +513,8 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
     log jp(k); an instability abort reports an unbounded (infinite) loss.
     """
     cfg.validate()
+    if len(k_list) < 2:
+        raise ValueError(f"loss_probe needs at least two modes to fit an exponent, got {len(k_list)}")
     asm = Assembler(model, lot, grid)
     N = grid.N
     nb = len(k_list)

@@ -18,10 +18,18 @@ friedrichs_part builds the symmetrized positive part
 quantized as M[k, k'] = (1/N) sum_j e^(-i x_j (k - k') w0) p_F(k, x_j, k').
 Because the zeta quadrature has positive weights, the result is positive
 semidefinite whenever the symbol matrix is PSD at the sample points.
+
+The contraction is banded.  F(xi, .) vanishes outside |zeta - xi| <
+support jp(xi)^(1/2), and the rule's nodes are sorted, so row k needs only
+the contiguous slice of nodes under its own window and the columns k'
+whose windows meet that slice; every other (k, k', zeta) term carries a
+zero window factor.  Each row is therefore summed over its own slice and
+columns alone, which gives the full sum up to rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -215,14 +223,21 @@ def _bump_raw(sigma):
     return out
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre_unit():
-    # cached 400-point rule on [-1, 1] for normalization integrals
-    return np.polynomial.legendre.leggauss(400)
+    """400-point rule on [-1, 1] for normalization integrals, computed once."""
+    return _read_only(*np.polynomial.legendre.leggauss(400))
 
 
 @dataclass(frozen=True)
 class Bump:
-    """Even C^infinity window on (-1, 1) with unit L^2 norm."""
+    """Even C^infinity window on (-support, support) with unit L^2 norm."""
 
     fn: object
     support: float = 1.0
@@ -247,6 +262,7 @@ def default_bump():
     return _DEFAULT_BUMP
 
 
+@functools.lru_cache(maxsize=64)
 def _zeta_rule(grid, points_per_unit):
     """Composite Gauss-Legendre rule covering the union of window supports."""
     freqs = grid.freqs
@@ -259,41 +275,59 @@ def _zeta_rule(grid, points_per_unit):
     halfw = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + halfw[:, None] * gl_nodes[None, :]).ravel()
     weights = (halfw[:, None] * gl_weights[None, :]).ravel()
-    return nodes, weights
+    return _read_only(nodes, weights)
+
+
+def _window(bump, zeta, xi, jp):
+    """F(xi, zeta) = q((zeta - xi) jp^(-1/2)) jp^(-1/4)."""
+    return bump.fn((zeta - xi) / np.sqrt(jp)) * jp**-0.25
+
+
+@functools.lru_cache(maxsize=8)
+def _window_bands(grid, bump, points_per_unit):
+    """The zeta rule and, per output row r, the part of it that row needs.
+
+    Each band is (r, nodes, cols, m, weights): the slice of zeta nodes under
+    the window of xi_r, the columns whose windows meet that slice, their
+    x-frequencies m = (r - cols) mod N, and weights[c, q] = w_q F(xi_r,
+    zeta_q) F(xi_c, zeta_q).
+    """
+    zeta, w = _zeta_rule(grid, points_per_unit)
+    freqs, jp = grid.freqs, grid.jp_values
+    half = bump.support * np.sqrt(jp)
+    # one node of slack on each side absorbs rounding at the edge of a support
+    lo = np.maximum(np.searchsorted(zeta, freqs - half) - 1, 0)
+    hi = np.minimum(np.searchsorted(zeta, freqs + half, side="right") + 1, zeta.size)
+    bands = []
+    for r in range(grid.N):
+        nodes = slice(lo[r], hi[r])
+        cols = np.flatnonzero((lo < hi[r]) & (hi > lo[r]))
+        wf_r = w[nodes] * _window(bump, zeta[nodes], freqs[r], jp[r])
+        weights = _window(bump, zeta[None, nodes], freqs[cols, None], jp[cols, None]) * wf_r
+        bands.append((r, nodes) + _read_only(cols, (r - cols) % grid.N, weights))
+    return zeta, tuple(bands)
 
 
 def _friedrichs_matrix(entries, t, grid, bump, points_per_unit):
     N = grid.N
-    nodes_x = grid.nodes
-    zeta, w = _zeta_rule(grid, points_per_unit)
-    jp = grid.jp_values
-    # F[q, k] = bump((zeta_q - xi_k)/sqrt(jp_k)) jp_k^(-1/4)
-    F = bump.fn((zeta[:, None] - grid.freqs[None, :]) / np.sqrt(jp)[None, :]) * jp[None, :] ** -0.25
-    WF = F * w[:, None]
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    zeta, bands = _window_bands(grid, bump, points_per_unit)
+    uses = {}  # distinct nonzero entries -> their (block row, block column) places
+    for bi, row in enumerate(entries):
+        for bj, expr in enumerate(row):
+            if not (isinstance(expr, Const) and expr.value == 0.0):
+                uses.setdefault(expr, []).append((bi, bj))
 
     b = len(entries)
     out = np.zeros((b * N, b * N), dtype=complex)
-    qhat_cache = {}
-
-    def qhat(expr):
-        if expr not in qhat_cache:
-            vals = _eval_field(expr, t, nodes_x[:, None], zeta[None, :], (N, zeta.size))
-            qhat_cache[expr] = np.fft.fft(vals, axis=0) / N  # [m mod N, q]
-        return qhat_cache[expr]
-
-    chunk = max(1, int(4e6 // (N * zeta.size)))
-    for bi in range(b):
-        for bj in range(b):
-            expr = entries[bi][bj]
-            if isinstance(expr, Const) and expr.value == 0.0:
-                continue
-            Qh = qhat(expr)
-            block = np.empty((N, N), dtype=complex)
-            for r0 in range(0, N, chunk):
-                r1 = min(N, r0 + chunk)
-                C = Qh[idx[r0:r1, :], :]  # (R, N, NQ)
-                block[r0:r1, :] = np.einsum("rjq,qr,qj->rj", C, WF[:, r0:r1], F, optimize=True)
+    for expr, places in uses.items():
+        vals = np.asarray(expr.evaluate(t, grid.nodes[:, None], zeta[None, :]), dtype=float)
+        # a symbol constant in xi keeps one zeta column: its coefficients are shared
+        vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, (N, 1)))
+        qhat = np.broadcast_to(np.fft.fft(vals, axis=0) / N, (N, zeta.size))  # [m mod N, q]
+        block = np.zeros((N, N), dtype=complex)
+        for r, nodes, cols, m, weights in bands:
+            block[r, cols] = np.einsum("cq,cq->c", qhat[m, nodes], weights)
+        for bi, bj in places:
             out[bi * N : (bi + 1) * N, bj * N : (bj + 1) * N] = block
     return out
 
@@ -445,6 +479,8 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
         deltas = [2.0**p for p in range(-7, 1)]
     if Cs is None:
         Cs = [2.0**p for p in range(0, 15)]
+    if len(t_values) == 0:
+        raise ValueError("fp_search needs at least one t value")
     ok = np.ones((len(deltas), len(Cs)), dtype=bool)
     for t in t_values:
         H_S, M_J, P = _fp_pieces(model, t, grid)

@@ -83,6 +83,14 @@ def test_fpcheck_single_pair_exit_codes(capsys):
     assert _json_out(capsys)["feasible"] is False
 
 
+def test_fpcheck_empty_t_grid_is_a_usage_error(capsys):
+    for extra in ([], ["--delta", "1.0", "--c", "512"]):
+        assert run(["fpcheck", "--model", "g_E", "--nt", "0"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--nt" in captured.err
+
+
 def test_evolve_artifacts_are_deterministic(capsys, tmp_path):
     args = ["evolve", "--model", "g_E", "--grid-k", "6", "--lot-seed", "3",
             "--n-weight", "0.25", "--gamma", "1.0", "--lambda", "1.0"]
@@ -108,6 +116,13 @@ def test_loss_probe_cli(capsys, tmp_path):
     assert payload["modes"] == [4, 8]
     assert payload["bounded"] is True
     assert (out / "loss.svg").exists()
+
+
+def test_loss_without_two_probe_modes_is_a_usage_error(capsys):
+    assert run(["loss", "--model", "g_E", "--grid-k", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "two modes" in captured.err
 
 
 def test_extend_cli(capsys):

@@ -172,6 +172,12 @@ def test_loss_probe_strictly_hyperbolic_has_no_loss():
     assert rep.exponent <= 0.3
 
 
+def test_loss_probe_needs_two_modes():
+    for k_list in ((), (4,)):
+        with pytest.raises(ValueError):
+            loss_probe(gallery("g_E"), LowerOrderTerms.zero(), FourierGrid(16), EvolveConfig(), k_list)
+
+
 def test_loss_probe_growth_is_mode_monotone_for_degenerate_model():
     model = gallery("g_E")
     grid = FourierGrid(32)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from triplex.acceptance import GALLERY, _s_entries
 from triplex.models import gallery
+from triplex import quantize
 from triplex.quantize import (
     Bump,
     FourierGrid,
@@ -188,3 +190,72 @@ def test_block_diag_assembles_squares():
     blk = block_diag([op_multiplier(np.ones(grid.N), grid)] * 3, grid)
     assert blk.matrix.shape == (3 * grid.N, 3 * grid.N)
     assert np.allclose(blk.matrix[: grid.N, : grid.N], eye)
+
+
+# ---------------------------------------------------------------------------
+# banded Friedrichs assembly against the full (k, k', zeta) contraction
+
+def _dense_friedrichs(entries, t, grid, bump, points_per_unit):
+    """M[k, k'] = (1/N) sum_j e^(-i x_j (k - k') w0) p_F(k, x_j, k') over every zeta node."""
+    zeta, w = quantize._zeta_rule(grid, points_per_unit)
+    jp = grid.jp_values
+    F = bump.fn((zeta[:, None] - grid.freqs[None, :]) / np.sqrt(jp)[None, :]) * jp[None, :] ** -0.25
+    phase = np.exp(-1j * np.outer(grid.nodes, grid.freqs))  # [j, k]
+    blocks = []
+    for row in entries:
+        blocks.append([])
+        for expr in row:
+            p = np.broadcast_to(np.asarray(expr.evaluate(t, grid.nodes[:, None], zeta[None, :]),
+                                           dtype=float), (grid.N, zeta.size))
+            p_F = (w * F.T * p[:, None, :]) @ F  # [j, k, k']
+            blocks[-1].append(np.einsum("jk,jkl,jl->kl", phase, p_F, phase.conj()) / grid.N)
+    return np.block(blocks)
+
+
+def _assert_matches_dense(entries, t, grid, points_per_unit, bump=None):
+    got = friedrichs_part(entries, t, grid, bump=bump, points_per_unit=points_per_unit,
+                          adaptive=False).matrix
+    want = _dense_friedrichs(entries, t, grid, bump or default_bump(), points_per_unit)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", GALLERY)
+@pytest.mark.parametrize("K", (8, 16))
+def test_banded_friedrichs_matches_dense_on_gallery(name, K):
+    entries = _s_entries(gallery(name))
+    for t in (0.1, 1.0):
+        for ppu in (33, 66):
+            _assert_matches_dense(entries, t, FourierGrid(K), ppu)
+
+
+def test_banded_friedrichs_matches_dense_for_xi_dependent_symbol():
+    sym = parse_symbol("(1 - cos(x))^2 * jp(xi) + 0.5 * sin(x) * xi / jp(xi)")
+    for ppu in (33, 66):
+        _assert_matches_dense([[sym]], 0.5, FourierGrid(16), ppu)
+
+
+def test_banded_friedrichs_matches_dense_for_narrow_bump():
+    wide = default_bump()
+    narrow = Bump(fn=lambda s: math.sqrt(2.0) * wide.fn(2.0 * np.asarray(s)), support=0.5)
+    assert narrow.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
+    entries = _s_entries(gallery("g_E"))
+    _assert_matches_dense(entries, 0.5, FourierGrid(16), 33, bump=narrow)
+
+
+def test_friedrichs_part_stays_psd_at_K64():
+    qf = friedrichs_part(_s_entries(gallery("g_E")), 0.5, FourierGrid(64))
+    assert qf.min_eig() / operator_norm(qf.matrix) >= -1e-8
+
+
+def test_gauss_legendre_rules_are_computed_once_and_read_only():
+    grid = FourierGrid(8)
+    for rule in (quantize._gauss_legendre_unit, lambda: quantize._zeta_rule(grid, 33)):
+        nodes, weights = rule()
+        assert rule()[0] is nodes
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+
+def test_fp_search_rejects_empty_t_grid():
+    with pytest.raises(ValueError):
+        fp_search(gallery("g_E"), [], FourierGrid(8))
