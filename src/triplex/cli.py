@@ -48,7 +48,7 @@ from .quantize import (
 )
 from .reporting import emit_plot  # the front end's plotting operation
 from .symbols import SymbolError
-from .symmetrizer import _stacked_matrices, lower_bound_delta
+from .symmetrizer import _stacked_matrices, lower_bound_delta, pointwise_delta
 
 __all__ = ["main", "run", "emit_plot"]
 
@@ -220,15 +220,7 @@ def _cmd_symmetrizer(args):
                            / (1.0 + np.abs(a) ** 3 + b**2)))
     mineig = np.linalg.eigvalsh(S)[..., 0]
 
-    # pointwise largest delta with S - 2 delta t J >= 0, by bisection
-    lo = np.zeros_like(a)
-    hi = np.full_like(a, 2.0)
-    tJ = 2.0 * t[..., None, None] * J
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        feas = np.linalg.eigvalsh(S - mid[..., None, None] * tJ)[..., 0] >= -1e-12 * scale
-        lo = np.where(feas, mid, lo)
-        hi = np.where(feas, hi, mid)
+    local = np.maximum(pointwise_delta(S, J, t), 0.0)
     sym = lower_bound_delta(model, grid)
     ok = asym <= 1e-13 and det_dev <= 1e-12
     payload = {
@@ -245,7 +237,7 @@ def _cmd_symmetrizer(args):
             for j in range(len(grid.x_vals)):
                 for k in range(len(grid.xi_vals)):
                     yield (grid.t_vals[i], grid.x_vals[j], grid.xi_vals[k],
-                           a[i, j, k], b[i, j, k], mineig[i, j, k], lo[i, j, k])
+                           a[i, j, k], b[i, j, k], mineig[i, j, k], local[i, j, k])
 
     _emit(args, payload,
           [("symmetrizer_points.csv",
@@ -433,9 +425,8 @@ def _cmd_extend(args):
 def _cmd_regularize(args):
     model, lot_file = _resolve_model(args.model)
     lot = _lot_for(args, lot_file)
-    workers = max(1, int(os.environ.get("TRIPLEX_THREADS", "1")))
     rep = regularize_sweep(model, lot, eps_list=(1e-1, 1e-2, 1e-3),
-                           grid_k=args.grid_k, seed=args.seed, workers=workers)
+                           grid_k=args.grid_k, seed=args.seed)
     payload = {
         "model": model.name,
         "rows": [
@@ -446,7 +437,6 @@ def _cmd_regularize(args):
         ],
         "stable_within": rep.stable_within,
         "passed": rep.passed,
-        "workers": workers,
     }
     artifacts = [
         ("regularize.csv", reporting.csv_text(

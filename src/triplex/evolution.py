@@ -921,25 +921,17 @@ def _sweep_row(base, lot, eps, grid, seed):
 
 
 def regularize_sweep(base: HyperbolicModel, lot, eps_list, grid_k=8, factor=4.0,
-                     seed=0, workers=1):
+                     seed=0):
     """Track the main constants as alpha is shifted to alpha + eps.
 
     Each row records delta_best for (E), the pointwise symmetrizer delta,
     the best feasible sharp-bound pair, the measured energy exponent N*
     and the worst energy margin.  The sweep passes when every strictly
     positive constant stays within the given factor across the list and
-    the margins hold at every eps.  Rows are independent, so workers > 1
-    computes them in a thread pool; row order follows eps_list either way.
+    the margins hold at every eps.
     """
     grid = FourierGrid(grid_k, base.period)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda e: _sweep_row(base, lot, e, grid, seed),
-                                 eps_list))
-    else:
-        rows = [_sweep_row(base, lot, eps, grid, seed) for eps in eps_list]
+    rows = [_sweep_row(base, lot, eps, grid, seed) for eps in eps_list]
     worst = 1.0
     for getter in (lambda r: r.delta_best_E, lambda r: r.delta_sym,
                    lambda r: r.fp_delta):

@@ -263,11 +263,11 @@ def default_bump():
 
 
 @functools.lru_cache(maxsize=64)
-def _zeta_rule(grid, points_per_unit):
-    """Composite Gauss-Legendre rule covering the union of window supports."""
+def _zeta_rule(grid, support, points_per_unit):
+    """Composite Gauss-Legendre rule over the union of windows xi +- support jp(xi)^(1/2)."""
     freqs = grid.freqs
-    lo = float(np.min(freqs - np.sqrt(grid.jp_values)))
-    hi = float(np.max(freqs + np.sqrt(grid.jp_values)))
+    lo = float(np.min(freqs - support * np.sqrt(grid.jp_values)))
+    hi = float(np.max(freqs + support * np.sqrt(grid.jp_values)))
     ncells = max(1, int(math.ceil(hi - lo)))
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(points_per_unit)
     edges = np.linspace(lo, hi, ncells + 1)
@@ -292,7 +292,7 @@ def _window_bands(grid, bump, points_per_unit):
     x-frequencies m = (r - cols) mod N, and weights[c, q] = w_q F(xi_r,
     zeta_q) F(xi_c, zeta_q).
     """
-    zeta, w = _zeta_rule(grid, points_per_unit)
+    zeta, w = _zeta_rule(grid, bump.support, points_per_unit)
     freqs, jp = grid.freqs, grid.jp_values
     half = bump.support * np.sqrt(jp)
     # one node of slack on each side absorbs rounding at the edge of a support
@@ -381,13 +381,14 @@ def operator_norm(matrix, tol=1e-8, max_iter=10000):
     n = m.shape[1]
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
     v /= np.linalg.norm(v)
+    mh = m.conj().T
     sigma = 0.0
     for _ in range(max_iter):
         w = m @ v
         new_sigma = np.linalg.norm(w)
         if new_sigma == 0.0:
             return 0.0
-        v = m.conj().T @ w
+        v = mh @ w
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return float(new_sigma)
@@ -425,8 +426,6 @@ class FpCheckResult:
 
 
 def _fp_pieces(model, t, grid):
-    from .models import HyperbolicModel  # noqa: F401  (documents the expected type)
-
     a = model.a_expr
     b = model.b
     s_entries = [
@@ -474,6 +473,14 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
 
     deltas default to 2^-7..2^0, Cs to 2^0..2^14.  best is the feasible
     pair with the largest delta, then the smallest C.
+
+    Closed form: P = diag(jp^-2) is positive, so by congruence H(C) = H_S -
+    delta t M_J + (C/t) P >= 0 exactly when C >= C* = -t lambda_min(G),
+    G = P^(-1/2) (H_S - delta t M_J) P^(-1/2).  One eigensolve per (t, delta)
+    settles every grid C >= C*.  Smaller grid values can still pass within
+    the -tol scale slack; they get fp_check's exact test, largest first, and
+    as feasibility is monotone in C (P >= 0) the scan stops at the first
+    infeasible one.
     """
     if deltas is None:
         deltas = [2.0**p for p in range(-7, 1)]
@@ -482,12 +489,18 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
     if len(t_values) == 0:
         raise ValueError("fp_search needs at least one t value")
     ok = np.ones((len(deltas), len(Cs)), dtype=bool)
+    c_grid = np.asarray(Cs, dtype=float)
+    descending = np.argsort(-c_grid, kind="stable")
     for t in t_values:
         H_S, M_J, P = _fp_pieces(model, t, grid)
+        r = np.diag(P).real ** -0.5
+        rr = np.outer(r, r)
         for i, d in enumerate(deltas):
-            for j, c in enumerate(Cs):
-                if ok[i, j]:
-                    ok[i, j] = _fp_eval(H_S, M_J, P, t, d, c, tol).feasible
+            lam = float(np.linalg.eigvalsh(rr * (H_S - d * t * M_J))[0])
+            for j in descending[(c_grid[descending] < -t * lam) & ok[i, descending]]:
+                if not _fp_eval(H_S, M_J, P, t, d, Cs[j], tol).feasible:
+                    ok[i, c_grid <= c_grid[j]] = False
+                    break
     pairs = [(deltas[i], Cs[j]) for i in range(len(deltas)) for j in range(len(Cs)) if ok[i, j]]
     best = None
     if pairs:

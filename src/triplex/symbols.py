@@ -9,7 +9,7 @@ Grammar accepted by :func:`parse_symbol` (whitespace is insignificant)::
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := atom ('^' integer)?
+    factor := atom (('^' | '**') integer)?
     atom   := number | 't' | 'x' | 'xi' | func '(' expr ')' | '(' expr ')'
     func   := sin | cos | exp | sqrt | jp
 
@@ -479,7 +479,7 @@ def differentiate(expr, var, order=1):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>\*\*|[-+*/^()]))"
 )
 
 
@@ -554,7 +554,7 @@ class _Parser:
     def factor(self):
         e = self.atom()
         kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
+        if kind == "op" and value in ("^", "**"):
             self.advance()
             e = pow_(e, self.integer())
         return e

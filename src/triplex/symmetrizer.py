@@ -176,16 +176,33 @@ class DeltaSymReport:
     tol: float
 
 
-def lower_bound_delta(model: HyperbolicModel, grid, tol=1e-10, rel=1e-4):
+def pointwise_delta(S, J, t):
+    """Largest delta with S - 2 delta t J >= 0 at each point of a stack.
+
+    It is the generalized eigenvalue lambda_min(D^(-1/2) S D^(-1/2)), D = 2 t J
+    (Golub & Van Loan 8.7), negative where S is not PSD.  Where D vanishes
+    there is no bound: +inf at t <= 0.  At a = J[2, 2] <= 0 < t the entry
+    2a - 2 delta t is negative for every delta > 0, so the value is 0.
+    """
+    ok = (t > 0) & (J[..., 2, 2] > 0)
+    d = np.where(ok[..., None], 2.0 * t[..., None] * np.diagonal(J, axis1=-2, axis2=-1), 1.0)
+    lam = np.linalg.eigvalsh(S / np.sqrt(d[..., :, None] * d[..., None, :]))[..., 0]
+    return np.where(ok, lam, np.where(t > 0, 0.0, np.inf))
+
+
+def lower_bound_delta(model: HyperbolicModel, grid, tol=1e-10):
     """Largest delta with S - 2 delta t J >= -tol * scale on the whole grid.
 
-    Bisection with ties resolved downward; returns 0 when even delta = 1e-8
-    fails.  S - 2 delta t J loses positivity monotonically in delta because
-    J >= 0, so bisection is valid.
+    Returns 0 when the exact-tolerance test fails at delta = 1e-8;
+    feasible_at_one is the same test at delta = 1.  Otherwise the value is
+    the grid minimum of pointwise_delta, clipped to the bracket the two
+    tests give ([1e-8, 1] or [1, 2^31]; 2^31 also stands for no bound).
+    That is exact: J >= 0 makes positivity monotone in delta, and by
+    congruence with the positive diagonal D = 2 t J, S - delta D >= 0
+    exactly when delta <= lambda_min(D^(-1/2) S D^(-1/2)).
     """
     S, J, t, alpha, _ = _stacked_matrices(model, grid)
-    a = J[..., 2, 2]
-    scale = 1.0 + a**2 + S[..., 1, 2] ** 2 / 9.0 + (t + alpha) ** 2
+    scale = 1.0 + J[..., 2, 2] ** 2 + S[..., 1, 2] ** 2 / 9.0 + (t + alpha) ** 2
     tJ = 2.0 * t[..., None, None] * J
 
     def feasible(delta):
@@ -194,20 +211,7 @@ def lower_bound_delta(model: HyperbolicModel, grid, tol=1e-10, rel=1e-4):
 
     if not feasible(1e-8):
         return DeltaSymReport(0.0, False, grid.describe(), tol)
-    lo = 1e-8
-    hi = 1.0
     feasible_one = feasible(1.0)
-    if feasible_one:
-        lo = 1.0
-        while feasible(2.0 * lo):
-            lo *= 2.0
-            if lo > 2.0**30:
-                return DeltaSymReport(float(lo), True, grid.describe(), tol)
-        hi = 2.0 * lo
-    while hi - lo > rel * lo:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return DeltaSymReport(float(lo), feasible_one, grid.describe(), tol)
+    lo, hi = (1.0, 2.0**31) if feasible_one else (1e-8, 1.0)
+    delta = min(max(float(np.min(pointwise_delta(S, J, t))), lo), hi)
+    return DeltaSymReport(delta, feasible_one, grid.describe(), tol)

@@ -132,18 +132,11 @@ def test_extend_cli(capsys):
     assert run(["extend", "--model", "g_E", "--window", "nonsense"]) == 1
 
 
-def test_regularize_cli_honors_thread_env(capsys, tmp_path, monkeypatch):
-    code = run(["regularize", "--model", "g_E", "--lot-seed", "7"])
-    serial = _json_out(capsys)
-    assert code == 0
-    monkeypatch.setenv("TRIPLEX_THREADS", "2")
+def test_regularize_cli_writes_artifacts(capsys, tmp_path):
     out = tmp_path / "reg"
-    assert run(["regularize", "--model", "g_E", "--lot-seed", "7",
-                "--out", str(out)]) == 0
-    threaded = _json_out(capsys)
-    assert threaded["workers"] == 2
-    assert threaded["rows"] == serial["rows"]
-    assert threaded["passed"] is True
+    assert run(["regularize", "--model", "g_E", "--lot-seed", "7", "--out", str(out)]) == 0
+    payload = _json_out(capsys)
+    assert payload["passed"] is True and len(payload["rows"]) == 3
     assert (out / "regularize.csv").exists()
     assert (out / "regularize.svg").exists()
 

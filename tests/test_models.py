@@ -1,6 +1,7 @@
 """Model construction, gallery definitions, model-file parsing."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ def test_parse_model_text_round_trip():
 def test_parse_model_text_errors(bad, match):
     with pytest.raises(ModelError, match=match):
         parse_model_text(bad)
+
+
+def test_readme_model_file_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Model files contain", 1)[1].split("```\n", 2)[1]
+    model, lot = parse_model_text(block)
+    x = np.linspace(0.0, 6.0, 7)
+    assert np.allclose(model.eval_alpha(x, 1.0), (1 - np.cos(x)) ** 2)
+    assert np.allclose(np.asarray(lot.b10.evaluate(0.0, x, 1.0)), 0.2 * np.sin(x))
+    assert model.T == 2.0 and model.c0 == 0.9
 
 
 def test_load_model_file(tmp_path):

@@ -175,6 +175,61 @@ def test_fp_search_finds_feasible_pair_for_good_model():
     assert all(d <= 1.0 for d, _ in res.feasible_pairs)
 
 
+def _fp_search_by_grid(model, t_values, grid, deltas, Cs, tol=1e-8):
+    """feasible_pairs and best with one exact fp_check per (t, delta, C) triple."""
+    ok = np.ones((len(deltas), len(Cs)), dtype=bool)
+    for t in t_values:
+        pieces = quantize._fp_pieces(model, t, grid)
+        for i, d in enumerate(deltas):
+            for j, c in enumerate(Cs):
+                if ok[i, j]:
+                    ok[i, j] = quantize._fp_eval(*pieces, t, d, c, tol).feasible
+    pairs = [(deltas[i], Cs[j]) for i in range(len(deltas)) for j in range(len(Cs)) if ok[i, j]]
+    return tuple(pairs), max(pairs, key=lambda dc: (dc[0], -dc[1])) if pairs else None
+
+
+DEFAULT_DELTAS = tuple(2.0**p for p in range(-7, 1))
+DEFAULT_CS = tuple(2.0**p for p in range(0, 15))
+
+
+def _assert_fp_search_matches_grid(model, t_values, grid, deltas=None, Cs=None):
+    kwargs = {} if deltas is None else {"deltas": deltas, "Cs": Cs}
+    res = fp_search(model, t_values, grid, **kwargs)
+    pairs, best = _fp_search_by_grid(model, t_values, grid, deltas or DEFAULT_DELTAS,
+                                     Cs or DEFAULT_CS)
+    assert res.feasible_pairs == pairs
+    assert res.best == best
+
+
+@pytest.mark.parametrize("name", GALLERY)
+@pytest.mark.parametrize("K", (8, 16))
+@pytest.mark.parametrize("nt", (3, 10))
+def test_closed_form_fp_search_matches_grid_search(name, K, nt):
+    model = gallery(name)
+    _assert_fp_search_matches_grid(model, np.geomspace(1e-2, model.T, nt), FourierGrid(K))
+
+
+@pytest.mark.parametrize("deltas, Cs", [
+    ((0.5, 1.0), (128.0, 256.0, 512.0, 1024.0)),  # the quick gate's c05 grid
+    ((1.0, 0.25, 0.5, 1.0 / 128), (64.0, 2.0, 1024.0, 16.0, 256.0, 4.0, 1.0)),
+])
+def test_closed_form_fp_search_matches_grid_search_on_given_grids(deltas, Cs):
+    for name in ("g_E", "g_zero_b", "g_ex21p"):
+        _assert_fp_search_matches_grid(gallery(name), np.geomspace(1e-2, 1.0, 10),
+                                       FourierGrid(16), deltas, Cs)
+
+
+def test_fp_search_needs_at_most_two_eigensolves_per_t_and_delta(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in GALLERY:
+        calls.clear()
+        t_values = np.geomspace(1e-2, 1.0, 10)
+        fp_search(gallery(name), t_values, FourierGrid(8))
+        assert 0 < len(calls) <= 2 * len(t_values) * len(DEFAULT_DELTAS)
+
+
 def test_fp_search_reports_infeasible_grid():
     model = gallery("g_E")
     grid = FourierGrid(8)
@@ -197,7 +252,7 @@ def test_block_diag_assembles_squares():
 
 def _dense_friedrichs(entries, t, grid, bump, points_per_unit):
     """M[k, k'] = (1/N) sum_j e^(-i x_j (k - k') w0) p_F(k, x_j, k') over every zeta node."""
-    zeta, w = quantize._zeta_rule(grid, points_per_unit)
+    zeta, w = quantize._zeta_rule(grid, bump.support, points_per_unit)
     jp = grid.jp_values
     F = bump.fn((zeta[:, None] - grid.freqs[None, :]) / np.sqrt(jp)[None, :]) * jp[None, :] ** -0.25
     phase = np.exp(-1j * np.outer(grid.nodes, grid.freqs))  # [j, k]
@@ -242,6 +297,18 @@ def test_banded_friedrichs_matches_dense_for_narrow_bump():
     _assert_matches_dense(entries, 0.5, FourierGrid(16), 33, bump=narrow)
 
 
+def test_zeta_rule_covers_every_window_of_a_wide_bump():
+    # the windows are L^2-normalized in zeta: sum_q w_q F(xi_k, zeta_q)^2 = 1 on every row
+    base = default_bump()
+    wide = Bump(fn=lambda s: base.fn(0.5 * np.asarray(s)) / math.sqrt(2.0), support=2.0)
+    assert wide.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
+    grid = FourierGrid(16)
+    zeta, w = quantize._zeta_rule(grid, wide.support, 66)
+    F = quantize._window(wide, zeta[None, :], grid.freqs[:, None], grid.jp_values[:, None])
+    assert np.max(np.abs(F**2 @ w - 1.0)) <= 1e-10
+    _assert_matches_dense(_s_entries(gallery("g_E")), 0.5, grid, 33, bump=wide)
+
+
 def test_friedrichs_part_stays_psd_at_K64():
     qf = friedrichs_part(_s_entries(gallery("g_E")), 0.5, FourierGrid(64))
     assert qf.min_eig() / operator_norm(qf.matrix) >= -1e-8
@@ -249,7 +316,7 @@ def test_friedrichs_part_stays_psd_at_K64():
 
 def test_gauss_legendre_rules_are_computed_once_and_read_only():
     grid = FourierGrid(8)
-    for rule in (quantize._gauss_legendre_unit, lambda: quantize._zeta_rule(grid, 33)):
+    for rule in (quantize._gauss_legendre_unit, lambda: quantize._zeta_rule(grid, 1.0, 33)):
         nodes, weights = rule()
         assert rule()[0] is nodes
         with pytest.raises(ValueError):

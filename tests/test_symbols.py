@@ -117,7 +117,12 @@ def test_operators_build_expressions():
     assert neg.evaluate(3.0, 0.0, 1.0) == -3.0
 
 
-@pytest.mark.parametrize("bad", ["", "1 +", "cos(", "t $ x", "foo(t)", "(1))"])
+def test_double_star_is_an_alias_of_caret():
+    assert parse_symbol("(1 - cos(x)) ** 2") == parse_symbol("(1 - cos(x))^2")
+    assert parse_symbol("t**-2 * x") == parse_symbol("t^-2 * x")
+
+
+@pytest.mark.parametrize("bad", ["", "1 +", "cos(", "t $ x", "foo(t)", "(1))", "x *** 2", "x ** 0.5"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_symbol(bad)

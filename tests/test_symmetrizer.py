@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplex.acceptance import GALLERY
 from triplex.cubic import default_condition_grid
 from triplex.models import LowerOrderTerms, gallery
 from triplex.symmetrizer import (
@@ -15,6 +16,7 @@ from triplex.symmetrizer import (
     check_SA_symmetric,
     det_identities,
     det3,
+    _stacked_matrices,
     lower_bound_delta,
     matrix_A,
     matrix_B,
@@ -22,6 +24,7 @@ from triplex.symmetrizer import (
     matrix_S,
     matrix_SA_closed,
     point_eval,
+    pointwise_delta,
     stilde_floor,
 )
 
@@ -131,6 +134,75 @@ def test_delta_sym_decreases_with_degeneracy():
     rep_strict = lower_bound_delta(strict, default_condition_grid(strict, **grid_kw))
     rep_degen = lower_bound_delta(degen, default_condition_grid(degen, **grid_kw))
     assert rep_strict.delta_sym >= rep_degen.delta_sym
+
+
+def _delta_feasible(model, grid, tol=1e-10):
+    S, J, t, alpha, _ = _stacked_matrices(model, grid)
+    scale = 1.0 + J[..., 2, 2] ** 2 + S[..., 1, 2] ** 2 / 9.0 + (t + alpha) ** 2
+    tJ = 2.0 * t[..., None, None] * J
+    return lambda delta: bool(np.all(np.linalg.eigvalsh(S - delta * tJ)[..., 0] >= -tol * scale))
+
+
+def _delta_by_bisection(feasible, rel=1e-4):
+    """Largest feasible delta to rel, bracketed as [1e-8, 1] or [1, 2^31]."""
+    if not feasible(1e-8):
+        return 0.0
+    lo, hi = 1e-8, 1.0
+    if feasible(1.0):
+        lo = 1.0
+        while feasible(2.0 * lo):
+            lo *= 2.0
+            if lo > 2.0**30:
+                return lo
+        hi = 2.0 * lo
+    while hi - lo > rel * lo:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+DELTA_MODELS = [(name, {}) for name in GALLERY] + [("g_E", {"eps": 0.15}), ("g_E", {"eps": 0.85})]
+
+
+@pytest.mark.parametrize("name, params", DELTA_MODELS)
+def test_delta_sym_is_the_largest_feasible_delta(name, params):
+    model = gallery(name, **params)
+    grid = default_condition_grid(model, nt=16, nx=16, nxi=5)
+    feasible = _delta_feasible(model, grid)
+    rep = lower_bound_delta(model, grid)
+    if name == "g_ex21p":
+        assert rep.delta_sym == 0.0
+    if rep.delta_sym == 0.0:
+        assert not feasible(1e-8)
+    else:
+        assert feasible(rep.delta_sym)
+        assert not feasible(rep.delta_sym * (1.0 + 1.01e-4))
+    assert rep.feasible_at_one == feasible(1.0)
+    assert rep.delta_sym == pytest.approx(_delta_by_bisection(feasible), rel=1e-4)
+
+
+def test_lower_bound_delta_needs_at_most_three_eigensolves(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in GALLERY:
+        model = gallery(name)
+        calls.clear()
+        lower_bound_delta(model, default_condition_grid(model, nt=16, nx=16, nxi=5))
+        assert len(calls) <= 3
+
+
+def test_pointwise_delta_is_the_generalized_eigenvalue():
+    pe = _pe(2.0, 0.5, t=0.25)
+    S, J = matrix_S(pe), matrix_J(pe)
+    d = float(pointwise_delta(S, J, np.float64(pe.t)))
+    assert np.linalg.eigvalsh(S - 2.0 * d * pe.t * J)[0] == pytest.approx(0.0, abs=1e-12)
+    assert d > 0
+    # where 2tJ vanishes in every direction delta is unbounded; where a = 0 it is 0
+    stack = np.stack([S, S, matrix_S(_pe(0.0, 0.0))])
+    Js = np.stack([J, J, np.diag([1.0, 1.0, 0.0])])
+    got = pointwise_delta(stack, Js, np.array([pe.t, 0.0, 0.5]))
+    assert got[0] == pytest.approx(d, rel=1e-14) and got[1] == np.inf and got[2] == 0.0
 
 
 def test_matrix_shapes_and_J():
