@@ -36,7 +36,7 @@ from .evolution import (
 )
 from .models import LowerOrderTerms, gallery
 from .quantize import FourierGrid, fp_search, friedrichs_part, operator_norm
-from .symbols import Const
+from .symmetrizer import S_symbols, identity_defects
 
 GALLERY = ("g_strict", "g_zero_b", "g_E", "g_ex21p", "g_ex21m", "g_ex22")
 
@@ -79,27 +79,10 @@ def criterion_algebraic_identities(quick=False, seed=0):
     for name in GALLERY:
         model = gallery(name)
         t, alpha, a, b, jp = _model_points(model, rng, n)
-        scale = 1.0 + a**2 + b**2 + (t + alpha) ** 2
-
-        S = np.zeros((n, 3, 3))
-        A = np.zeros((n, 3, 3))
-        S[:, 0, 0] = 3.0
-        S[:, 0, 2] = S[:, 2, 0] = -a
-        S[:, 1, 1] = 2.0 * a
-        S[:, 1, 2] = S[:, 2, 1] = 3.0 * b
-        S[:, 2, 2] = a * a
-        A[:, 0, 1] = a
-        A[:, 0, 2] = b
-        A[:, 1, 0] = A[:, 2, 1] = 1.0
-        SA = S @ A
-        asym = np.max(np.abs(SA - np.transpose(SA, (0, 2, 1))), axis=(1, 2))
-        worst["asym"] = max(worst["asym"], float(np.max(asym / scale)))
-
+        asym, det = identity_defects(t, alpha, a, b)
+        worst["asym"] = max(worst["asym"], asym)
+        worst["det"] = max(worst["det"], det)
         delta = 4.0 * a**3 - 27.0 * b**2
-        det_scale = 1.0 + np.abs(a) ** 3 + b**2
-        worst["det"] = max(
-            worst["det"], float(np.max(np.abs(np.linalg.det(S) - delta) / det_scale))
-        )
 
         # shift invariance of the discriminant: expand p(tau + s)
         s = rng.uniform(-2.0, 2.0, n)
@@ -227,15 +210,6 @@ def criterion_condition_checkers(quick=False, seed=0):
     return _timed(3, "condition-checkers", passed, details, t0)
 
 
-def _s_entries(model):
-    a, b = model.a_expr, model.b
-    return [
-        [Const(3.0), Const(0.0), -a],
-        [Const(0.0), Const(2.0) * a, Const(3.0) * b],
-        [-a, Const(3.0) * b, a * a],
-    ]
-
-
 def criterion_friedrichs_positivity(quick=False, seed=0):
     """4: the averaged quantization of the symmetrizer stays PSD."""
     t0 = time.perf_counter()
@@ -244,7 +218,7 @@ def criterion_friedrichs_positivity(quick=False, seed=0):
     worst = math.inf
     worst_case = None
     for name in GALLERY:
-        entries = _s_entries(gallery(name))
+        entries = S_symbols(gallery(name))
         for K in Ks:
             grid = FourierGrid(K)
             for t in ts:

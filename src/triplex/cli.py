@@ -48,7 +48,15 @@ from .quantize import (
 )
 from .reporting import emit_plot  # the front end's plotting operation
 from .symbols import SymbolError
-from .symmetrizer import _stacked_matrices, lower_bound_delta, pointwise_delta
+from .symmetrizer import (
+    S_symbols,
+    grid_fields,
+    identity_defects,
+    lower_bound_delta,
+    matrix_J,
+    matrix_S,
+    pointwise_delta,
+)
 
 __all__ = ["main", "run", "emit_plot"]
 
@@ -77,6 +85,15 @@ def _resolve_model(source):
                 raise ModelError(f"bad model parameter {item!r} (expected k=v)")
             kwargs[key.strip()] = float(value)
     return gallery(name, **kwargs), LowerOrderTerms.zero()
+
+
+def _check_horizon(model, t1):
+    """The model is validated on [0, T] only; a later t1 is a usage error."""
+    if t1 > model.T:
+        raise ModelError(
+            f"--t1 {t1:g} lies beyond the model horizon T = {model.T:g}, the end of the "
+            f"interval the model was validated on; give a longer horizon in the "
+            f"name:T=... form (name:T={t1:g}) or as a 'T = ...' line in a model file")
 
 
 def _lot_for(args, lot_from_file):
@@ -119,12 +136,9 @@ def _cmd_analyze(args):
     t_vals = np.linspace(args.t0, args.t1, args.nt)
     x_vals = np.linspace(0.0, model.period, 64, endpoint=False)
     xi_vals = np.logspace(0.0, math.log10(64.0), 9)
-    tg, xg, xig = t_vals[:, None, None], x_vals[None, :, None], xi_vals[None, None, :]
-    shape = (len(t_vals), len(x_vals), len(xi_vals))
-    a = np.broadcast_to(model.eval_a(tg, xg, xig), shape)
-    b = np.broadcast_to(model.eval_b(tg, xg, xig), shape)
+    _, _, a, b, _ = grid_fields(model, Grid3(t_vals, x_vals, xi_vals))
     delta = 4.0 * a**3 - 27.0 * b**2
-    idx = np.unravel_index(int(np.argmin(delta)), shape)
+    idx = np.unravel_index(int(np.argmin(delta)), delta.shape)
     hyperbolic = bool(delta[idx] >= -1e-12)
     roots = None
     if hyperbolic:
@@ -163,14 +177,9 @@ def _cmd_conditions(args):
     if args.which in ("H", "E"):
         rep = check_condition(model, args.which, grid, delta=args.delta)
         payload = rep.to_json_dict()
-        tg, xg, xig = (grid.t_vals[:, None, None], grid.x_vals[None, :, None],
-                       grid.xi_vals[None, None, :])
-        shape = (len(grid.t_vals), len(grid.x_vals), len(grid.xi_vals))
-        alpha = np.broadcast_to(model.eval_alpha(xg, xig), shape)
-        a = np.broadcast_to(model.eval_a(tg, xg, xig), shape)
-        b = np.broadcast_to(model.eval_b(tg, xg, xig), shape)
+        t, alpha, a, b, _ = grid_fields(model, grid)
         dd = 4.0 * a**3 - 27.0 * b**2
-        w = tg**2 * (tg + alpha) if args.which == "H" else tg * (tg + alpha) ** 2
+        w = t**2 * (t + alpha) if args.which == "H" else t * (t + alpha) ** 2
         curve = np.min(dd / w, axis=(1, 2))
         art = [("conditions_sweep.csv",
                 reporting.csv_text(("t", "min_ratio"),
@@ -204,23 +213,12 @@ def _cmd_conditions(args):
 def _cmd_symmetrizer(args):
     model, _ = _resolve_model(args.model)
     grid = default_condition_grid(model, nt=16, nx=16, nxi=5)
-    S, J, t, alpha, jp2 = _stacked_matrices(model, grid)
-    a = J[..., 2, 2]
-    b = S[..., 1, 2] / 3.0
-    scale = 1.0 + a**2 + b**2 + (t + alpha) ** 2
-
-    A = np.zeros_like(S)
-    A[..., 0, 1] = a
-    A[..., 0, 2] = b
-    A[..., 1, 0] = A[..., 2, 1] = 1.0
-    SA = S @ A
-    asym = float(np.max(np.max(np.abs(SA - np.swapaxes(SA, -1, -2)), axis=(-1, -2)) / scale))
-    delta_field = 4.0 * a**3 - 27.0 * b**2
-    det_dev = float(np.max(np.abs(np.linalg.det(S) - delta_field)
-                           / (1.0 + np.abs(a) ** 3 + b**2)))
+    t, alpha, a, b, _ = grid_fields(model, grid)
+    asym, det_dev = identity_defects(t, alpha, a, b)
+    S = matrix_S(a, b)
     mineig = np.linalg.eigvalsh(S)[..., 0]
 
-    local = np.maximum(pointwise_delta(S, J, t), 0.0)
+    local = np.maximum(pointwise_delta(S, matrix_J(a), t), 0.0)
     sym = lower_bound_delta(model, grid)
     ok = asym <= 1e-13 and det_dev <= 1e-12
     payload = {
@@ -250,22 +248,20 @@ def _cmd_quantize(args):
     model, _ = _resolve_model(args.model)
     grid = FourierGrid(args.grid_k, model.period)
     t = args.t0
-    from .acceptance import _s_entries
-
     op_a = op_weyl(model.a_expr, t, grid)
-    qf = friedrichs_part(_s_entries(model), t, grid)
+    qf = friedrichs_part(S_symbols(model), t, grid)
     qf_norm = operator_norm(qf.matrix)
     min_eig = qf.min_eig()
     ratio = min_eig / qf_norm
     ok = ratio >= -1e-8
-    resid = sgarding_residual(_s_entries(model), t,
+    resid = sgarding_residual(S_symbols(model), t,
                               K_list=tuple(sorted({8, 16, args.grid_k})),
                               period=model.period)
     payload = {
         "model": model.name,
         "t": t,
         "K": grid.K,
-        "weyl_norm_a": operator_norm(op_a.matrix),
+        "weyl_norm_a": operator_norm(op_a),
         "friedrichs_min_eig": min_eig,
         "friedrichs_norm": qf_norm,
         "friedrichs_min_eig_over_norm": ratio,
@@ -273,7 +269,7 @@ def _cmd_quantize(args):
         "weighted_residual_by_K": {str(k): v for k, v in resid.items()},
     }
     _emit(args, payload,
-          [("weyl_a.csv", reporting.operator_csv_text(op_a.matrix))])
+          [("weyl_a.csv", reporting.operator_csv_text(op_a))])
     return PASS if ok else VERDICT_FAIL
 
 
@@ -281,6 +277,7 @@ def _cmd_fpcheck(args):
     model, _ = _resolve_model(args.model)
     if args.nt < 1:
         raise ValueError(f"--nt must be at least 1, got {args.nt}")
+    _check_horizon(model, max(args.t0, args.t1))
     grid = FourierGrid(args.grid_k, model.period)
     t_values = np.geomspace(args.t0 if args.t0 > 0 else 1e-2, args.t1, args.nt)
     if args.delta is not None and args.c is not None:
@@ -315,6 +312,7 @@ def _cmd_fpcheck(args):
 
 def _cmd_evolve(args):
     model, lot_file = _resolve_model(args.model)
+    _check_horizon(model, args.t1)
     lot = _lot_for(args, lot_file)
     grid = FourierGrid(args.grid_k, model.period)
     U0 = _seeded_state(grid, args.seed)
@@ -368,6 +366,7 @@ def _cmd_evolve(args):
 
 def _cmd_loss(args):
     model, lot_file = _resolve_model(args.model)
+    _check_horizon(model, args.t1)
     lot = _lot_for(args, lot_file)
     grid = FourierGrid(args.grid_k, model.period)
     k_list, k = [], 4

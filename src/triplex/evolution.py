@@ -27,35 +27,9 @@ from .cubic import Grid3, check_condition, default_condition_grid
 from .models import HyperbolicModel, LowerOrderTerms, ModelError, build_model
 from .symbols import Const, X, call, differentiate
 from .quantize import BlockOp, FourierGrid, op_weyl, operator_norm
+from .symmetrizer import A_entries, S_entries
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Stacked coefficient vector (U1, U2, U3) on a Fourier grid."""
-
-    data: np.ndarray
-    grid: FourierGrid
-
-    def component(self, i):
-        N = self.grid.N
-        return self.data[i * N : (i + 1) * N]
-
-    def norm(self):
-        return float(np.linalg.norm(self.data))
-
-
-def mode_state(grid, k, amplitudes=(1.0, 1.0, 1.0)):
-    """Unit state concentrated on Fourier mode k in all three components."""
-    if abs(k) > grid.K:
-        raise ValueError("mode outside truncation")
-    N = grid.N
-    data = np.zeros(3 * N, dtype=complex)
-    for i, amp in enumerate(amplitudes):
-        data[i * N + (k + grid.K)] = amp
-    n = np.linalg.norm(data)
-    return StateVector(data / n, grid)
 
 
 @dataclass
@@ -81,6 +55,25 @@ class EvolveConfig:
             raise ValueError("weight exponent must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
+
+
+def _is_zero(expr):
+    return isinstance(expr, Const) and expr.value == 0.0
+
+
+def _generator_matrix(grid, op_a, op_b, lower, one):
+    """A <D> + B laid out from A_entries.
+
+    <D> multiplies the order-one blocks Op(a), Op(b) and one (<D> itself in
+    M(t), 0 in its t-derivatives); the lower-order blocks (None where absent)
+    are added into the first block row before the layout.
+    """
+    jp = grid.jp_values
+    rows = A_entries(op_a * jp, op_b * jp, one)
+    for j, low in enumerate(lower):
+        if low is not None:
+            rows[0][j] += low  # in place on the fresh products above
+    return BlockOp.from_blocks(rows, grid).matrix
 
 
 def _t_taylor(expr, cap=6):
@@ -117,7 +110,7 @@ class Assembler:
         for name, expr in self._symbols().items():
             terms = _t_taylor(expr)
             self._op_bases[name] = None if terms is None else [
-                op_weyl(d, 0.0, grid).matrix / math.factorial(i)
+                op_weyl(d, 0.0, grid) / math.factorial(i)
                 for i, d in enumerate(terms)
             ]
 
@@ -147,7 +140,7 @@ class Assembler:
         if name not in entry:
             basis = self._op_bases[name]
             if basis is None:
-                entry[name] = op_weyl(self._symbols()[name], t, self.grid).matrix
+                entry[name] = op_weyl(self._symbols()[name], t, self.grid)
             else:
                 acc = basis[0].copy()
                 for i in range(1, len(basis)):
@@ -159,36 +152,19 @@ class Assembler:
         """Dense M(t) with <D> as a right multiplier on the order-1 blocks."""
         entry = self._entry(t)
         if "gen" not in entry:
-            N = self.grid.N
-            jp = self._jp
-            gen = np.zeros((3 * N, 3 * N), dtype=complex)
-            gen[0:N, N : 2 * N] = self._op(entry, "a", t) * jp[None, :]
-            gen[0:N, 2 * N : 3 * N] = self._op(entry, "b", t) * jp[None, :]
-            gen[N : 2 * N, 0:N] = np.diag(jp)
-            gen[2 * N : 3 * N, N : 2 * N] = np.diag(jp)
-            for j, name in enumerate(("b10", "b11", "b12")):
-                expr = self._symbols()[name]
-                if not (isinstance(expr, Const) and expr.value == 0.0):
-                    gen[0:N, j * N : (j + 1) * N] += self._op(entry, name, t)
-            entry["gen"] = gen
+            symbols = self._symbols()
+            lower = [None if _is_zero(symbols[name]) else self._op(entry, name, t)
+                     for name in ("b10", "b11", "b12")]
+            entry["gen"] = _generator_matrix(self.grid, self._op(entry, "a", t),
+                                             self._op(entry, "b", t), lower, self._jp)
         return entry["gen"]
 
     def energy_matrix(self, t, lam):
         """Hermitian part of Op(S)(t) + lam t^-1 blockdiag(jp^-2)."""
         entry = self._entry(t)
         if "senergy" not in entry:
-            N = self.grid.N
-            op_a = self._op(entry, "a", t)
-            op_b = self._op(entry, "b", t)
-            op_a2 = self._op(entry, "a2", t)
-            S = np.zeros((3 * N, 3 * N), dtype=complex)
-            S[0:N, 0:N] = 3.0 * np.eye(N)
-            S[0:N, 2 * N :] = -op_a
-            S[2 * N :, 0:N] = -op_a
-            S[N : 2 * N, N : 2 * N] = 2.0 * op_a
-            S[N : 2 * N, 2 * N :] = 3.0 * op_b
-            S[2 * N :, N : 2 * N] = 3.0 * op_b
-            S[2 * N :, 2 * N :] = op_a2
+            blocks = S_entries(*(self._op(entry, name, t) for name in ("a", "b", "a2")))
+            S = BlockOp.from_blocks(blocks, self.grid).matrix
             entry["senergy"] = 0.5 * (S + S.conj().T)
         base = entry["senergy"]
         if lam == 0.0 or t <= 0:
@@ -197,12 +173,6 @@ class Assembler:
 
     def op_a_matrix(self, t):
         return self._op(self._entry(t), "a", t)
-
-
-def assemble_generator(model, lot, t, grid):
-    """M(t) as a BlockOp (see Assembler.generator for the layout)."""
-    mat = Assembler(model, lot, grid).generator(t)
-    return BlockOp(matrix=mat, grid=grid)
 
 
 def _rk4(U, t, h, apply_gen, F=None):
@@ -217,21 +187,6 @@ def _rk4(U, t, h, apply_gen, F=None):
     k3 = rhs(t + 0.5 * h, U + 0.5 * h * k2)
     k4 = rhs(t + h, U + h * k3)
     return U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(U, t, dt, model, lot, grid, F=None, assembler=None):
-    """One RK4 step of dU/dt = i (M(t) U + F(t)).
-
-    The instability guard turns a growth factor above 1e6 into a None
-    return (the evolve driver reports it as the verdict "unbounded").
-    """
-    asm = assembler or Assembler(model, lot, grid)
-    data = U.data if isinstance(U, StateVector) else U
-    out = _rk4(np.asarray(data, dtype=complex), t, dt,
-               lambda tt, V: asm.generator(tt) @ V, F)
-    if np.linalg.norm(out) > 1e6 * max(np.linalg.norm(data), 1e-300):
-        return None
-    return StateVector(out, grid) if isinstance(U, StateVector) else out
 
 
 @dataclass
@@ -279,13 +234,11 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, record_energy=True,
            assembler=None):
     """Integrate dU/dt = i (M(t) U + F(t)) from eps_start to T.
 
-    U0 is a (3N,) complex vector (or StateVector).  F, when given, maps t
-    to a (3N,) vector.  Returns (EnergyTrace, U_final); on a growth abort
-    the trace is truncated and flagged aborted (verdict "unbounded").
+    U0 is a (3N,) complex vector.  F, when given, maps t to a (3N,) vector.
+    Returns (EnergyTrace, U_final); on a growth abort the trace is truncated
+    and flagged aborted (verdict "unbounded").
     """
     cfg.validate()
-    if isinstance(U0, StateVector):
-        U0 = U0.data
     asm = assembler or Assembler(model, lot, grid)
     steps = _fixed_steps(cfg, asm)
 
@@ -415,10 +368,6 @@ def energy_margins(trace: EnergyTrace, tol=0.05):
         passed=bool(len(margins) and float(margins[i]) >= -tol),
         tol=tol,
     )
-
-
-def check_energy_inequality(trace: EnergyTrace, tol=0.05):
-    return energy_margins(trace, tol=tol)
 
 
 def margin_deviation(report: MarginReport, reference: MarginReport):
@@ -696,7 +645,7 @@ def partition_sos(windows, chi=None, period=TWO_PI, beta_scale=3.0,
             half = np.kron(np.eye(3), np.diag((np.abs(g.freqs) <= K // 2).astype(float)))
             norms, norms_plain = [], []
             for c in chis:
-                op_c = op_weyl(c, 0.0, g).matrix
+                op_c = op_weyl(c, 0.0, g)
                 blk = np.kron(np.eye(3), op_c)
                 full = blk @ gen - gen @ blk
                 norms.append(operator_norm(half @ full @ half))
@@ -821,7 +770,6 @@ def taylor_lift(model, lot, data, order, grid, f=None):
     if U0.shape != (3 * N,):
         raise ValueError("data must be three coefficient vectors of length N")
 
-    jp = grid.jp_values
     gen_derivs = []
     a_i, b_i = model.a_expr, model.b
     lot_i = [lot.b10, lot.b11, lot.b12]
@@ -830,15 +778,9 @@ def taylor_lift(model, lot, data, order, grid, f=None):
             a_i = differentiate(a_i, "t", 1)
             b_i = differentiate(b_i, "t", 1)
             lot_i = [differentiate(e, "t", 1) for e in lot_i]
-        gen = np.zeros((3 * N, 3 * N), dtype=complex)
-        gen[0:N, N : 2 * N] = op_weyl(a_i, 0.0, grid).matrix * jp[None, :]
-        gen[0:N, 2 * N :] = op_weyl(b_i, 0.0, grid).matrix * jp[None, :]
-        for j, e in enumerate(lot_i):
-            if not (isinstance(e, Const) and e.value == 0.0):
-                gen[0:N, j * N : (j + 1) * N] += op_weyl(e, 0.0, grid).matrix
-        if i == 0:
-            gen[N : 2 * N, 0:N] = np.diag(jp)
-            gen[2 * N :, N : 2 * N] = np.diag(jp)
+        lower = [None if _is_zero(e) else op_weyl(e, 0.0, grid) for e in lot_i]
+        gen = _generator_matrix(grid, op_weyl(a_i, 0.0, grid), op_weyl(b_i, 0.0, grid),
+                                lower, grid.jp_values if i == 0 else 0)
         gen_derivs.append(((-1j) ** i) * gen)
 
     f_derivs = []

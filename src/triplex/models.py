@@ -179,8 +179,10 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, grid=Non
         raise ModelError("alpha must be a function of (x, xi) only")
     if not c0 > 0:
         raise ModelError("c0 must be positive")
-    if not T > 0:
-        raise ModelError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ModelError("T must be positive and finite")
+    if not 0 < period < math.inf:
+        raise ModelError("period must be positive and finite")
 
     if grid is None:
         grid = default_validation_grid(T=T, period=period)
@@ -341,14 +343,16 @@ def parse_model_text(text):
             raise ModelError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ModelError(f"line {lineno}: duplicate key {key!r}")
+        if key in _FLOAT_KEYS:
+            try:
+                value = float(value)
+            except ValueError:
+                raise ModelError(f"line {lineno}: {key} must be a number") from None
         entries[key] = value
     if "alpha" not in entries:
         raise ModelError("model text must define alpha")
 
-    kwargs = {}
-    for key in _FLOAT_KEYS:
-        if key in entries:
-            kwargs[key] = float(entries[key])
+    kwargs = {key: entries[key] for key in _FLOAT_KEYS if key in entries}
     model = build_model(
         entries["alpha"],
         atilde=entries.get("atilde", "1"),

@@ -36,17 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symbols import Expr, Const
+from .symmetrizer import J_entries, S_symbols
 
 __all__ = [
     "FourierGrid",
-    "LinOp",
     "BlockOp",
     "op_weyl",
-    "op_multiplier",
-    "op_jp",
-    "op_jp_inv2",
     "block_weyl",
-    "block_diag",
     "Bump",
     "default_bump",
     "friedrichs_part",
@@ -109,24 +105,6 @@ class FourierGrid:
 
 
 @dataclass
-class LinOp:
-    matrix: np.ndarray
-    grid: FourierGrid
-    hermitian: bool = False
-
-    def __matmul__(self, other):
-        if isinstance(other, LinOp):
-            return LinOp(self.matrix @ other.matrix, self.grid)
-        return self.matrix @ other
-
-    def hermitian_part(self):
-        return LinOp(0.5 * (self.matrix + self.matrix.conj().T), self.grid, hermitian=True)
-
-    def min_eig(self):
-        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
-
-
-@dataclass
 class BlockOp:
     """Dense operator on b stacked coefficient vectors."""
 
@@ -136,60 +114,40 @@ class BlockOp:
 
     @staticmethod
     def from_blocks(rows, grid):
+        """Lay out a square nested list of N x N blocks.
+
+        A block may be an N x N matrix, a length-N vector (its diagonal
+        matrix) or a scalar c (c times the identity); None and the scalar 0
+        leave the block empty.
+        """
         b = len(rows)
         N = grid.N
         out = np.zeros((b * N, b * N), dtype=complex)
+        flat = out.reshape(-1)
         for i, row in enumerate(rows):
             for j, blk in enumerate(row):
-                if blk is None:
-                    continue
-                m = blk.matrix if isinstance(blk, LinOp) else blk
-                out[i * N : (i + 1) * N, j * N : (j + 1) * N] = m
+                if isinstance(blk, np.ndarray) and blk.ndim == 2:
+                    out[i * N : (i + 1) * N, j * N : (j + 1) * N] = blk
+                elif blk is not None and (isinstance(blk, np.ndarray) or blk != 0):
+                    # the block's diagonal: every (b N + 1)-th entry from its corner
+                    corner = (i * b * N + j) * N
+                    flat[corner : corner + N * (b * N + 1) : b * N + 1] = blk
         return BlockOp(out, grid, blocks=b)
-
-    def hermitian_part(self):
-        return BlockOp(0.5 * (self.matrix + self.matrix.conj().T), self.grid, self.blocks)
 
     def min_eig(self):
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
 
-def _eval_field(expr, t, x_col, xi_row, shape):
-    vals = expr.evaluate(t, x_col, xi_row)
-    return np.broadcast_to(np.asarray(vals, dtype=float), shape)
-
-
-def _weyl_index_arrays(grid):
-    N = grid.N
-    nq = 2 * N
-    i = np.arange(N)
-    midx = (i[:, None] - i[None, :]) % nq
-    sidx = i[:, None] + i[None, :]
-    return midx, sidx
-
-
 def op_weyl(expr, t, grid):
-    """Midpoint (Weyl) quantization of a symbol expression at time t."""
+    """Midpoint (Weyl) quantization of a symbol expression at time t, as an N x N matrix."""
     N = grid.N
     nq = 2 * N
     xq = grid.period * np.arange(nq) / nq
     mid_freqs = (np.arange(4 * grid.K + 1) - 2 * grid.K) * grid.base_freq / 2.0
-    vals = _eval_field(expr, t, xq[:, None], mid_freqs[None, :], (nq, mid_freqs.size))
-    coef = np.fft.fft(vals, axis=0) / nq
-    midx, sidx = _weyl_index_arrays(grid)
-    return LinOp(coef[midx, sidx], grid, hermitian=True)
-
-
-def op_multiplier(diag_values, grid):
-    return LinOp(np.diag(np.asarray(diag_values, dtype=complex)), grid, hermitian=True)
-
-
-def op_jp(grid):
-    return op_multiplier(grid.jp_values, grid)
-
-
-def op_jp_inv2(grid):
-    return op_multiplier(grid.jp_values**-2.0, grid)
+    vals = np.asarray(expr.evaluate(t, xq[:, None], mid_freqs[None, :]), dtype=float)
+    coef = np.fft.fft(np.broadcast_to(vals, (nq, mid_freqs.size)), axis=0) / nq
+    i = np.arange(N)
+    return coef[(i[:, None] - i[None, :]) % nq, i[:, None] + i[None, :]]
 
 
 def block_weyl(entries, t, grid):
@@ -203,12 +161,6 @@ def block_weyl(entries, t, grid):
 
     rows = [[one(e) for e in row] for row in entries]
     return BlockOp.from_blocks(rows, grid)
-
-
-def block_diag(mats, grid):
-    return BlockOp.from_blocks(
-        [[mats[i] if i == j else None for j in range(len(mats))] for i in range(len(mats))], grid
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +329,7 @@ def operator_norm(matrix, tol=1e-8, max_iter=10000):
 
     Deterministic start vector; tol is relative on the Rayleigh estimate.
     """
-    m = matrix.matrix if isinstance(matrix, (LinOp, BlockOp)) else np.asarray(matrix)
+    m = matrix.matrix if isinstance(matrix, BlockOp) else np.asarray(matrix)
     n = m.shape[1]
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
     v /= np.linalg.norm(v)
@@ -410,8 +362,7 @@ def sgarding_residual(entries, t, K_list, period=2.0 * math.pi, bump=None):
         grid = FourierGrid(K, period)
         qf = friedrichs_part(entries, t, grid, bump=bump)
         qw = block_weyl(entries, t, grid)
-        jp_block = block_diag([op_jp(grid)] * qf.blocks, grid)
-        resid = (qf.matrix - qw.matrix) @ jp_block.matrix
+        resid = (qf.matrix - qw.matrix) * np.tile(grid.jp_values, qf.blocks)
         out[K] = operator_norm(resid)
     return out
 
@@ -426,19 +377,12 @@ class FpCheckResult:
 
 
 def _fp_pieces(model, t, grid):
-    a = model.a_expr
-    b = model.b
-    s_entries = [
-        [Const(3.0), Const(0.0), -a],
-        [Const(0.0), Const(2.0) * a, Const(3.0) * b],
-        [-a, Const(3.0) * b, a * a],
-    ]
-    H_S = block_weyl(s_entries, t, grid).hermitian_part().matrix
-    op_a = op_weyl(a, t, grid)
-    H_a = 0.5 * (op_a.matrix + op_a.matrix.conj().T)
-    eye = np.eye(grid.N)
-    M_J = block_diag([LinOp(eye, grid), LinOp(eye, grid), LinOp(H_a, grid)], grid).matrix
-    P = block_diag([op_jp_inv2(grid)] * 3, grid).matrix
+    """Herm(Op(S)), the J block matrix with Herm(Op(a)), and P = blockdiag(jp^-2)."""
+    S = block_weyl(S_symbols(model), t, grid).matrix
+    H_S = 0.5 * (S + S.conj().T)
+    op_a = op_weyl(model.a_expr, t, grid)
+    M_J = BlockOp.from_blocks(J_entries(0.5 * (op_a + op_a.conj().T)), grid).matrix
+    P = np.diag(np.tile(grid.jp_values**-2.0, 3))
     return H_S, M_J, P
 
 

@@ -11,6 +11,12 @@ The symmetrizer S and the weight J are
 
 with S A symmetric, det S = Delta = 4 a^3 - 27 b^2 and
 det(S - 2 delta t J) = Delta + 2 delta O(t (t + alpha)^2).
+
+S, J and A are written once, as 3x3 nested lists (S_entries, J_entries,
+A_entries) whose entries may be floats, arrays, symbol expressions or N x N
+operator blocks.  Every other layer derives from them: matrix_S and friends
+stack pointwise values into (..., 3, 3) arrays, S_symbols feeds the
+quantizers, and quantize.BlockOp.from_blocks lays out operator blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import HyperbolicModel, LowerOrderTerms
+from .symbols import Const, Expr
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,52 @@ def point_eval(model: HyperbolicModel, t, x, xi):
     )
 
 
-def matrix_A(pe: PointEval):
-    return np.array([[0.0, pe.a, pe.b], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+def S_entries(a, b, a2):
+    """S = [[3, 0, -a], [0, 2a, 3b], [-a, 3b, a^2]] as a 3x3 nested list.
+
+    The entries may be floats, arrays, symbol expressions or N x N operator
+    blocks.  a2 stands for a^2 and is passed in because the quantized (2, 2)
+    block is Op(a^2), not Op(a)^2.
+    """
+    return [[3, 0, -a], [0, 2 * a, 3 * b], [-a, 3 * b, a2]]
+
+
+def J_entries(a, one=1.0):
+    """J = diag(1, 1, a) as a 3x3 nested list."""
+    return [[one, 0, 0], [0, one, 0], [0, 0, a]]
+
+
+def A_entries(a, b, one=1.0):
+    """A = [[0, a, b], [1, 0, 0], [0, 1, 0]] as a 3x3 nested list.
+
+    one is 1 pointwise, <D> in the generator A <D> and 0 in its t-derivatives.
+    """
+    return [[0, a, b], [one, 0, 0], [0, one, 0]]
+
+
+def S_symbols(model: HyperbolicModel):
+    """S of a model as symbol expressions (op_weyl and friedrichs_part input)."""
+    a = model.a_expr
+    return [[e if isinstance(e, Expr) else Const(float(e)) for e in row]
+            for row in S_entries(a, model.b, a * a)]
+
+
+def _stack3(entries):
+    """(..., 3, 3) array of a 3x3 nested list of scalars and arrays."""
+    flat = np.broadcast_arrays(*(e for row in entries for e in row))
+    return np.stack(flat, axis=-1).reshape(flat[0].shape + (3, 3))
+
+
+def matrix_S(a, b):
+    return _stack3(S_entries(a, b, a * a))
+
+
+def matrix_J(a):
+    return _stack3(J_entries(a))
+
+
+def matrix_A(a, b):
+    return _stack3(A_entries(a, b))
 
 
 def matrix_B(pe: PointEval, lot: LowerOrderTerms):
@@ -68,27 +119,19 @@ def matrix_B(pe: PointEval, lot: LowerOrderTerms):
     return out
 
 
-def matrix_S(pe: PointEval):
-    a, b = pe.a, pe.b
-    return np.array([[3.0, 0.0, -a], [0.0, 2.0 * a, 3.0 * b], [-a, 3.0 * b, a * a]])
+def identity_defects(t, alpha, a, b):
+    """Worst scale-normalized defects of S A = (S A)^T and det S = Delta.
 
-
-def matrix_J(pe: PointEval):
-    return np.diag([1.0, 1.0, pe.a])
-
-
-def matrix_SA_closed(pe: PointEval):
-    """The closed form of S A: [[0, 2a, 3b], [2a, 3b, 0], [3b, 0, -ab]]."""
-    a, b = pe.a, pe.b
-    return np.array([[0.0, 2.0 * a, 3.0 * b], [2.0 * a, 3.0 * b, 0.0], [3.0 * b, 0.0, -a * b]])
-
-
-def check_SA_symmetric(pe: PointEval):
-    """Max |SA - (SA)^T| and max |SA - closed form|, both scale-normalized."""
-    sa = matrix_S(pe) @ matrix_A(pe)
-    asym = float(np.max(np.abs(sa - sa.T)))
-    closed = float(np.max(np.abs(sa - matrix_SA_closed(pe))))
-    return asym / pe.scale, closed / pe.scale
+    Over points given as equal-shape arrays (or scalars): max |SA - (SA)^T|
+    over 1 + a^2 + b^2 + (t + alpha)^2, and max |det S - Delta| over
+    1 + |a|^3 + b^2, with Delta = 4 a^3 - 27 b^2.
+    """
+    S = matrix_S(a, b)
+    SA = S @ matrix_A(a, b)
+    scale = 1.0 + a**2 + b**2 + (t + alpha) ** 2
+    asym = np.max(np.abs(SA - np.swapaxes(SA, -1, -2)), axis=(-1, -2)) / scale
+    det = np.abs(np.linalg.det(S) - (4.0 * a**3 - 27.0 * b**2)) / (1.0 + np.abs(a) ** 3 + b**2)
+    return float(np.max(asym)), float(np.max(det))
 
 
 def det3(m):
@@ -116,10 +159,10 @@ def det_identities(pe: PointEval, delta=0.25):
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    S = matrix_S(pe)
+    S = matrix_S(pe.a, pe.b)
     det_s = det3(S)
     dd = 4.0 * pe.a**3 - 27.0 * pe.b**2
-    shifted = det3(S - 2.0 * delta * pe.t * matrix_J(pe))
+    shifted = det3(S - 2.0 * delta * pe.t * matrix_J(pe.a))
     denom = delta * pe.t * (pe.t + pe.alpha) ** 2
     ratio = abs(shifted - dd) / denom if denom > 0 else float("inf") if shifted != dd else 0.0
     return DetIdentityReport(det_S=det_s, delta=dd, det_shifted=shifted, remainder_ratio=ratio)
@@ -129,7 +172,7 @@ def build_Stilde(pe: PointEval, lam):
     """S + lam t^-1 jp^-2 I (pointwise; t > 0 required)."""
     if not pe.t > 0:
         raise ValueError("Stilde needs t > 0")
-    return matrix_S(pe) + (lam / (pe.t * pe.jp**2)) * np.eye(3)
+    return matrix_S(pe.a, pe.b) + (lam / (pe.t * pe.jp**2)) * np.eye(3)
 
 
 def stilde_floor(model: HyperbolicModel, grid):
@@ -137,13 +180,14 @@ def stilde_floor(model: HyperbolicModel, grid):
 
     Pointwise that is lam >= 2 t jp^2 max(0, -min eig S); returns the sup.
     """
-    S, _, t, alpha, jp2 = _stacked_matrices(model, grid)
-    eigs = np.linalg.eigvalsh(S)
+    t, _, a, b, jp2 = grid_fields(model, grid)
+    eigs = np.linalg.eigvalsh(matrix_S(a, b))
     need = 2.0 * t * jp2 * np.maximum(0.0, -eigs[..., 0])
     return float(np.max(need))
 
 
-def _stacked_matrices(model, grid):
+def grid_fields(model, grid):
+    """t, alpha, a, b and jp^2 at every point of a (t, x, xi) grid, shape (nt, nx, nxi)."""
     tg = grid.t_vals[:, None, None]
     xg = grid.x_vals[None, :, None]
     xig = grid.xi_vals[None, None, :]
@@ -151,21 +195,9 @@ def _stacked_matrices(model, grid):
     alpha = np.broadcast_to(model.alpha.evaluate(0.0, xg, xig), shape)
     a = np.broadcast_to((tg + alpha) * model.atilde.evaluate(tg, xg, xig), shape)
     b = np.broadcast_to(model.b.evaluate(tg, xg, xig), shape)
-    S = np.zeros(shape + (3, 3))
-    S[..., 0, 0] = 3.0
-    S[..., 0, 2] = -a
-    S[..., 2, 0] = -a
-    S[..., 1, 1] = 2.0 * a
-    S[..., 1, 2] = 3.0 * b
-    S[..., 2, 1] = 3.0 * b
-    S[..., 2, 2] = a * a
-    J = np.zeros(shape + (3, 3))
-    J[..., 0, 0] = 1.0
-    J[..., 1, 1] = 1.0
-    J[..., 2, 2] = a
     t_full = np.broadcast_to(tg, shape)
     jp2 = np.broadcast_to(1.0 + xig**2, shape)
-    return S, J, t_full, alpha, jp2
+    return t_full, alpha, a, b, jp2
 
 
 @dataclass(frozen=True)
@@ -201,8 +233,9 @@ def lower_bound_delta(model: HyperbolicModel, grid, tol=1e-10):
     congruence with the positive diagonal D = 2 t J, S - delta D >= 0
     exactly when delta <= lambda_min(D^(-1/2) S D^(-1/2)).
     """
-    S, J, t, alpha, _ = _stacked_matrices(model, grid)
-    scale = 1.0 + J[..., 2, 2] ** 2 + S[..., 1, 2] ** 2 / 9.0 + (t + alpha) ** 2
+    t, alpha, a, b, _ = grid_fields(model, grid)
+    S, J = matrix_S(a, b), matrix_J(a)
+    scale = 1.0 + a**2 + b**2 + (t + alpha) ** 2
     tJ = 2.0 * t[..., None, None] * J
 
     def feasible(delta):

@@ -125,6 +125,33 @@ def test_loss_without_two_probe_modes_is_a_usage_error(capsys):
     assert "two modes" in captured.err
 
 
+def test_time_beyond_the_model_horizon_is_a_usage_error(capsys):
+    # g_ex22 with m = 3 is validated on [0, 1]; at t = 4 its discriminant is -8.3e4
+    for argv in (["evolve", "--model", "g_ex22:m=3", "--grid-k", "4", "--t1", "4"],
+                 ["loss", "--model", "g_E", "--grid-k", "16", "--t1", "1.5"],
+                 ["fpcheck", "--model", "g_E", "--grid-k", "4", "--nt", "2", "--t1", "2"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "T = 1" in captured.err and "name:T=" in captured.err
+    # a longer horizon has to pass validation itself
+    assert run(["evolve", "--model", "g_ex22:m=3,T=4", "--grid-k", "4", "--t1", "4"]) == 1
+    assert "discriminant" in capsys.readouterr().err
+
+
+def test_bad_model_file_numbers_are_usage_errors(capsys, tmp_path):
+    for text, match in (("period = 0", "period must be positive"),
+                        ("period = -1", "period must be positive"),
+                        ("T = 1.x", "line 2: T must be a number")):
+        path = tmp_path / "bad.model"
+        path.write_text("alpha = (1 - cos(x))^2\n" + text + "\n")
+        for argv in (["analyze", "--model", str(path), "--nt", "3"],
+                     ["evolve", "--model", str(path), "--grid-k", "4"]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and match in captured.err
+
+
 def test_extend_cli(capsys):
     assert run(["extend", "--model", "g_E"]) == 0
     payload = _json_out(capsys)

@@ -5,26 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from triplex import quantize
 from triplex.evolution import (
     Assembler,
     EvolveConfig,
-    assemble_generator,
+    _rk4,
     energy_margins,
     evolve,
     extend_model,
     frequency_cutoff_check,
     loss_probe,
     margin_deviation,
-    mode_state,
     partition_sos,
     regularize_sweep,
     search_energy_constants,
-    step,
     taylor_lift,
     window_expr,
 )
 from triplex.models import LowerOrderTerms, ModelError, gallery
-from triplex.quantize import FourierGrid, operator_norm
+from triplex.quantize import FourierGrid, op_weyl, operator_norm
 
 
 def _unit_state(grid, seed):
@@ -41,7 +40,7 @@ def test_generator_blocks_express_the_first_order_system():
     model = gallery("g_strict")  # a independent of x: all blocks diagonal
     grid = FourierGrid(4)
     t = 0.4
-    gen = assemble_generator(model, LowerOrderTerms.zero(), t, grid).matrix
+    gen = Assembler(model, LowerOrderTerms.zero(), grid).generator(t)
     N = grid.N
     a_val = t + 1.0
     jp = np.diag(grid.jp_values)
@@ -57,13 +56,14 @@ def test_step_converges_at_fourth_order():
     grid = FourierGrid(4)
     U0 = _unit_state(grid, 0)
     t0, H = 0.2, 0.1
+    asm = Assembler(model, lot, grid)
 
     def march(n):
         U = U0.copy()
         h = H / n
         t = t0
         for _ in range(n):
-            U = step(U, t, h, model, lot, grid)
+            U = _rk4(U, t, h, lambda tt, V: asm.generator(tt) @ V)
             t += h
         return U
 
@@ -255,8 +255,10 @@ def test_taylor_lift_matches_short_evolution():
     lift = taylor_lift(model, lot, data, order=5, grid=grid)
 
     # residual of the generator equation at small t has the lift's order
+    asm = Assembler(model, lot, grid)
+
     def residual(t):
-        gen = assemble_generator(model, lot, t, grid).matrix
+        gen = asm.generator(t)
         return np.linalg.norm(lift.deriv(t, 1) - gen @ lift.eval(t))
 
     r1, r2 = residual(2e-3), residual(1e-3)
@@ -308,21 +310,31 @@ def test_regularize_sweep_is_stable():
 # ---------------------------------------------------------------------------
 # assembler internals
 
+def _direct_generator(model, lot, t, grid):
+    """M(t) = A <D> + B from Weyl quantization at t itself, laid out by hand."""
+    N = grid.N
+    D = np.diag(grid.jp_values)
+    op = lambda expr: op_weyl(expr, t, grid)
+    gen = np.zeros((3 * N, 3 * N), dtype=complex)
+    gen[:N, :N] = op(lot.b10)
+    gen[:N, N : 2 * N] = op(model.a_expr) @ D + op(lot.b11)
+    gen[:N, 2 * N :] = op(model.b) @ D + op(lot.b12)
+    gen[N : 2 * N, :N] = D
+    gen[2 * N :, N : 2 * N] = D
+    return gen
+
+
 def test_assembler_matches_direct_quantization():
+    # the Assembler combines Taylor-in-t bases quantized once at t = 0; the
+    # reference quantizes every symbol afresh at each t
     model = gallery("g_ex22", m=3)
     lot = LowerOrderTerms.random_trig(12, amplitude=0.4)
     grid = FourierGrid(5)
     asm = Assembler(model, lot, grid)
     for t in (0.07, 0.4, 0.9):
-        direct = assemble_generator(model, lot, t, grid).matrix
+        direct = _direct_generator(model, lot, t, grid)
         cached = asm.generator(t)
         assert np.allclose(cached, direct, atol=1e-11 * operator_norm(direct))
-
-
-def test_mode_state_layout():
-    grid = FourierGrid(4)
-    sv = mode_state(grid, 2)
-    assert sv.norm() == pytest.approx(1.0)
-    assert sv.component(0)[2 + grid.K] != 0
-    with pytest.raises(ValueError):
-        mode_state(grid, 9)
+        # the energy matrix and the sharp-bound layer quantize S independently
+        H_S = quantize._fp_pieces(model, t, grid)[0]
+        assert np.allclose(asm.energy_matrix(t, 0.0), H_S, atol=1e-13 * operator_norm(H_S))

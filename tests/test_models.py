@@ -140,6 +140,27 @@ def test_parse_model_text_errors(bad, match):
         parse_model_text(bad)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("alpha = 1\nT = 1.x", "line 2: T must be a number"),
+    ("alpha = 1\n\nperiod = pi", "line 3: period must be a number"),
+    ("c0 = \nalpha = 1", "line 1: c0 must be a number"),
+    ("alpha = 1\nperiod = 0", "period must be positive"),
+    ("alpha = 1\nperiod = -1", "period must be positive"),
+    ("alpha = 1\nperiod = inf", "period must be positive and finite"),
+    ("alpha = 1\nT = inf", "T must be positive and finite"),
+], ids=["T-not-a-number", "period-name", "c0-empty", "period-zero", "period-negative",
+        "period-infinite", "T-infinite"])
+def test_parse_model_text_checks_numbers(text, match):
+    with pytest.raises(ModelError, match=match):
+        parse_model_text(text)
+
+
+def test_build_model_rejects_nonpositive_period():
+    for period in (0.0, -1.0, math.nan):
+        with pytest.raises(ModelError, match="period"):
+            build_model(1.0, period=period)
+
+
 def test_readme_model_file_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Model files contain", 1)[1].split("```\n", 2)[1]

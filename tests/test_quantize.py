@@ -5,26 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from triplex.acceptance import GALLERY, _s_entries
+from triplex.acceptance import GALLERY
 from triplex.models import gallery
 from triplex import quantize
 from triplex.quantize import (
+    BlockOp,
     Bump,
     FourierGrid,
     default_bump,
-    block_diag,
     block_weyl,
     fp_check,
     fp_search,
     friedrichs_part,
-    op_jp,
-    op_jp_inv2,
-    op_multiplier,
     op_weyl,
     operator_norm,
     sgarding_residual,
 )
 from triplex.symbols import Const, X, XI, call, jp_of, parse_symbol
+from triplex.symmetrizer import S_symbols
 
 
 def test_grid_mode_layout():
@@ -49,10 +47,9 @@ def test_coefficients_invert_values():
 def test_weyl_of_x_independent_symbol_is_diagonal():
     grid = FourierGrid(6)
     op = op_weyl(jp_of(XI), 0.3, grid)
-    assert np.allclose(op.matrix, np.diag(grid.jp_values), atol=1e-12)
-    assert np.allclose(op_jp(grid).matrix, np.diag(grid.jp_values), atol=1e-12)
-    inv2 = op_jp_inv2(grid)
-    assert np.allclose(inv2.matrix, np.diag(grid.jp_values**-2.0), atol=1e-12)
+    assert np.allclose(op, np.diag(grid.jp_values), atol=1e-12)
+    inv2 = op_weyl(Const(1.0) / (Const(1.0) + XI * XI), 0.3, grid)
+    assert np.allclose(inv2, np.diag(grid.jp_values**-2.0), atol=1e-12)
 
 
 def test_weyl_of_pure_multiplication_matches_convolution():
@@ -62,7 +59,7 @@ def test_weyl_of_pure_multiplication_matches_convolution():
     # multiplication by cos x shifts modes by +-1 with weight 1/4
     u = np.zeros(grid.N)
     u[8] = 1.0  # mode 0
-    out = op.matrix @ u
+    out = op @ u
     assert out[8] == pytest.approx(1.0, abs=1e-12)
     assert out[7] == pytest.approx(0.25, abs=1e-12)
     assert out[9] == pytest.approx(0.25, abs=1e-12)
@@ -74,20 +71,20 @@ def test_weyl_of_pure_multiplication_matches_convolution():
             shift = grid.modes[row] - grid.modes[col]
             if abs(shift) <= grid.K:
                 conv[row, col] = coef[shift + grid.K]
-    assert np.allclose(op.matrix, conv, atol=1e-10)
+    assert np.allclose(op, conv, atol=1e-10)
 
 
 def test_weyl_of_real_symbol_is_hermitian():
     grid = FourierGrid(8)
     expr = parse_symbol("(1 - cos(x))^2") * jp_of(XI)
-    mat = op_weyl(expr, 0.5, grid).matrix
+    mat = op_weyl(expr, 0.5, grid)
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12 * (1 + np.max(np.abs(mat)))
 
 
 def test_weyl_midpoint_rule_for_mixed_symbol():
     # symbol cos(x) xi quantizes to matrix entries built at the mode midpoint
     grid = FourierGrid(6)
-    mat = op_weyl(call("cos", X) * XI, 0.0, grid).matrix
+    mat = op_weyl(call("cos", X) * XI, 0.0, grid)
     w0 = grid.base_freq
     for row in range(grid.N):
         for col in range(grid.N):
@@ -239,12 +236,20 @@ def test_fp_search_reports_infeasible_grid():
     assert res.feasible_pairs == ()
 
 
-def test_block_diag_assembles_squares():
+def test_from_blocks_places_matrix_scalar_vector_and_none_blocks():
     grid = FourierGrid(3)
-    eye = np.eye(grid.N)
-    blk = block_diag([op_multiplier(np.ones(grid.N), grid)] * 3, grid)
-    assert blk.matrix.shape == (3 * grid.N, 3 * grid.N)
-    assert np.allclose(blk.matrix[: grid.N, : grid.N], eye)
+    N = grid.N
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    jp = grid.jp_values
+    blk = BlockOp.from_blocks([[m, 0, None], [2.5, jp, 0], [None, 0, -1]], grid)
+    assert blk.blocks == 3 and blk.matrix.shape == (3 * N, 3 * N)
+    want = np.zeros((3 * N, 3 * N), dtype=complex)
+    want[:N, :N] = m
+    want[N : 2 * N, :N] = 2.5 * np.eye(N)
+    want[N : 2 * N, N : 2 * N] = np.diag(jp)
+    want[2 * N :, 2 * N :] = -np.eye(N)
+    assert np.array_equal(blk.matrix, want)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,7 @@ def _assert_matches_dense(entries, t, grid, points_per_unit, bump=None):
 @pytest.mark.parametrize("name", GALLERY)
 @pytest.mark.parametrize("K", (8, 16))
 def test_banded_friedrichs_matches_dense_on_gallery(name, K):
-    entries = _s_entries(gallery(name))
+    entries = S_symbols(gallery(name))
     for t in (0.1, 1.0):
         for ppu in (33, 66):
             _assert_matches_dense(entries, t, FourierGrid(K), ppu)
@@ -293,7 +298,7 @@ def test_banded_friedrichs_matches_dense_for_narrow_bump():
     wide = default_bump()
     narrow = Bump(fn=lambda s: math.sqrt(2.0) * wide.fn(2.0 * np.asarray(s)), support=0.5)
     assert narrow.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
-    entries = _s_entries(gallery("g_E"))
+    entries = S_symbols(gallery("g_E"))
     _assert_matches_dense(entries, 0.5, FourierGrid(16), 33, bump=narrow)
 
 
@@ -306,11 +311,11 @@ def test_zeta_rule_covers_every_window_of_a_wide_bump():
     zeta, w = quantize._zeta_rule(grid, wide.support, 66)
     F = quantize._window(wide, zeta[None, :], grid.freqs[:, None], grid.jp_values[:, None])
     assert np.max(np.abs(F**2 @ w - 1.0)) <= 1e-10
-    _assert_matches_dense(_s_entries(gallery("g_E")), 0.5, grid, 33, bump=wide)
+    _assert_matches_dense(S_symbols(gallery("g_E")), 0.5, grid, 33, bump=wide)
 
 
 def test_friedrichs_part_stays_psd_at_K64():
-    qf = friedrichs_part(_s_entries(gallery("g_E")), 0.5, FourierGrid(64))
+    qf = friedrichs_part(S_symbols(gallery("g_E")), 0.5, FourierGrid(64))
     assert qf.min_eig() / operator_norm(qf.matrix) >= -1e-8
 
 

@@ -10,19 +10,20 @@ from hypothesis import strategies as st
 from triplex.acceptance import GALLERY
 from triplex.cubic import default_condition_grid
 from triplex.models import LowerOrderTerms, gallery
+from triplex.symbols import Const
 from triplex.symmetrizer import (
     PointEval,
+    S_symbols,
     build_Stilde,
-    check_SA_symmetric,
     det_identities,
     det3,
-    _stacked_matrices,
+    grid_fields,
+    identity_defects,
     lower_bound_delta,
     matrix_A,
     matrix_B,
     matrix_J,
     matrix_S,
-    matrix_SA_closed,
     point_eval,
     pointwise_delta,
     stilde_floor,
@@ -34,6 +35,11 @@ def _pe(a, b, t=0.5, alpha=0.3, xi=2.0):
                      jp=math.sqrt(1.0 + xi**2))
 
 
+def matrix_SA_closed(a, b):
+    """The closed form of S A: [[0, 2a, 3b], [2a, 3b, 0], [3b, 0, -ab]]."""
+    return np.array([[0.0, 2.0 * a, 3.0 * b], [2.0 * a, 3.0 * b, 0.0], [3.0 * b, 0.0, -a * b]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.floats(min_value=1e-4, max_value=50.0),
@@ -42,9 +48,36 @@ def _pe(a, b, t=0.5, alpha=0.3, xi=2.0):
 def test_sa_product_is_symmetric_and_closed_form(a, frac):
     b = frac * math.sqrt(4.0 * a**3 / 27.0)
     pe = _pe(a, b)
-    asym, closed = check_SA_symmetric(pe)
+    asym, det = identity_defects(pe.t, pe.alpha, pe.a, pe.b)
     assert asym <= 1e-13
-    assert closed <= 1e-13
+    assert det <= 1e-12
+    sa = matrix_S(a, b) @ matrix_A(a, b)
+    assert np.max(np.abs(sa - matrix_SA_closed(a, b))) <= 1e-13 * pe.scale
+
+
+def test_identity_defects_are_the_worst_point():
+    # the stacked helper reports the worst of its pointwise values
+    rng = np.random.default_rng(11)
+    t, alpha = rng.uniform(0.0, 1.0, (2, 4, 5))
+    a = (t + alpha) * rng.uniform(1.0, 2.0, (4, 5))
+    b = rng.uniform(-0.9, 0.9, (4, 5)) * np.sqrt(4.0 * a**3 / 27.0)
+    per_point = [identity_defects(*v) for v in zip(t.ravel(), alpha.ravel(), a.ravel(), b.ravel())]
+    asym, det = identity_defects(t, alpha, a, b)
+    assert asym == max(p[0] for p in per_point)
+    # batched and single LU factorizations round differently
+    assert det == pytest.approx(max(p[1] for p in per_point), abs=1e-14)
+    assert asym <= 1e-13 and det <= 1e-12
+
+
+def test_symbolic_S_matches_the_written_out_layout():
+    for name in GALLERY:
+        model = gallery(name)
+        a, b = model.a_expr, model.b
+        assert S_symbols(model) == [
+            [Const(3.0), Const(0.0), -a],
+            [Const(0.0), Const(2.0) * a, Const(3.0) * b],
+            [-a, Const(3.0) * b, a * a],
+        ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,7 +156,7 @@ def test_delta_sym_bound_certifies_positivity():
     for t in (0.1, 0.6):
         for x in (0.3, 2.0, 4.5):
             pe = point_eval(model, t, x, 3.0)
-            shifted = matrix_S(pe) - 2.0 * rep.delta_sym * t * matrix_J(pe)
+            shifted = matrix_S(pe.a, pe.b) - 2.0 * rep.delta_sym * t * matrix_J(pe.a)
             assert np.linalg.eigvalsh(shifted)[0] >= -1e-8 * pe.scale
 
 
@@ -137,9 +170,10 @@ def test_delta_sym_decreases_with_degeneracy():
 
 
 def _delta_feasible(model, grid, tol=1e-10):
-    S, J, t, alpha, _ = _stacked_matrices(model, grid)
-    scale = 1.0 + J[..., 2, 2] ** 2 + S[..., 1, 2] ** 2 / 9.0 + (t + alpha) ** 2
-    tJ = 2.0 * t[..., None, None] * J
+    t, alpha, a, b, _ = grid_fields(model, grid)
+    S = matrix_S(a, b)
+    scale = 1.0 + a**2 + b**2 + (t + alpha) ** 2
+    tJ = 2.0 * t[..., None, None] * matrix_J(a)
     return lambda delta: bool(np.all(np.linalg.eigvalsh(S - delta * tJ)[..., 0] >= -tol * scale))
 
 
@@ -194,21 +228,21 @@ def test_lower_bound_delta_needs_at_most_three_eigensolves(monkeypatch):
 
 def test_pointwise_delta_is_the_generalized_eigenvalue():
     pe = _pe(2.0, 0.5, t=0.25)
-    S, J = matrix_S(pe), matrix_J(pe)
+    S, J = matrix_S(pe.a, pe.b), matrix_J(pe.a)
     d = float(pointwise_delta(S, J, np.float64(pe.t)))
     assert np.linalg.eigvalsh(S - 2.0 * d * pe.t * J)[0] == pytest.approx(0.0, abs=1e-12)
     assert d > 0
     # where 2tJ vanishes in every direction delta is unbounded; where a = 0 it is 0
-    stack = np.stack([S, S, matrix_S(_pe(0.0, 0.0))])
+    stack = np.stack([S, S, matrix_S(0.0, 0.0)])
     Js = np.stack([J, J, np.diag([1.0, 1.0, 0.0])])
     got = pointwise_delta(stack, Js, np.array([pe.t, 0.0, 0.5]))
     assert got[0] == pytest.approx(d, rel=1e-14) and got[1] == np.inf and got[2] == 0.0
 
 
 def test_matrix_shapes_and_J():
-    pe = _pe(2.0, 0.5)
-    assert matrix_A(pe).shape == (3, 3)
-    assert matrix_S(pe).shape == (3, 3)
-    assert np.array_equal(matrix_J(pe), np.diag([1.0, 1.0, 2.0]))
-    sa = matrix_SA_closed(pe)
-    assert sa[0, 0] == 0.0 and sa[2, 2] == pytest.approx(-pe.a * pe.b)
+    a, b = 2.0, 0.5
+    assert np.array_equal(matrix_A(a, b), [[0.0, a, b], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.array_equal(matrix_S(a, b), [[3.0, 0.0, -a], [0.0, 2 * a, 3 * b], [-a, 3 * b, a * a]])
+    assert np.array_equal(matrix_J(a), np.diag([1.0, 1.0, 2.0]))
+    stacked = matrix_S(np.full((2, 3), a), np.full((2, 3), b))
+    assert stacked.shape == (2, 3, 3, 3) and np.all(stacked == matrix_S(a, b))
