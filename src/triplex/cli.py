@@ -53,7 +53,6 @@ from .symmetrizer import (
     grid_fields,
     identity_defects,
     lower_bound_delta,
-    matrix_J,
     matrix_S,
     pointwise_delta,
 )
@@ -218,7 +217,7 @@ def _cmd_symmetrizer(args):
     S = matrix_S(a, b)
     mineig = np.linalg.eigvalsh(S)[..., 0]
 
-    local = np.maximum(pointwise_delta(S, matrix_J(a), t), 0.0)
+    local = np.maximum(pointwise_delta(S, a, t), 0.0)
     sym = lower_bound_delta(model, grid)
     ok = asym <= 1e-13 and det_dev <= 1e-12
     payload = {

@@ -26,7 +26,7 @@ import numpy as np
 from .cubic import Grid3, check_condition, default_condition_grid
 from .models import HyperbolicModel, LowerOrderTerms, ModelError, build_model
 from .symbols import Const, X, call, differentiate
-from .quantize import BlockOp, FourierGrid, op_weyl, operator_norm
+from .quantize import BlockOp, FourierGrid, is_zero, op_weyl, operator_norm
 from .symmetrizer import A_entries, S_entries
 
 TWO_PI = 2.0 * math.pi
@@ -57,10 +57,6 @@ class EvolveConfig:
             raise ValueError("dt must be positive")
 
 
-def _is_zero(expr):
-    return isinstance(expr, Const) and expr.value == 0.0
-
-
 def _generator_matrix(grid, op_a, op_b, lower, one):
     """A <D> + B laid out from A_entries.
 
@@ -82,7 +78,7 @@ def _t_taylor(expr, cap=6):
     cur = expr
     for i in range(cap + 1):
         terms.append(cur)
-        if isinstance(cur, Const) and cur.value == 0.0:
+        if is_zero(cur):
             return terms[:-1] or [cur]
         cur = differentiate(cur, "t", 1)
     return None
@@ -153,7 +149,7 @@ class Assembler:
         entry = self._entry(t)
         if "gen" not in entry:
             symbols = self._symbols()
-            lower = [None if _is_zero(symbols[name]) else self._op(entry, name, t)
+            lower = [None if is_zero(symbols[name]) else self._op(entry, name, t)
                      for name in ("b10", "b11", "b12")]
             entry["gen"] = _generator_matrix(self.grid, self._op(entry, "a", t),
                                              self._op(entry, "b", t), lower, self._jp)
@@ -778,7 +774,7 @@ def taylor_lift(model, lot, data, order, grid, f=None):
             a_i = differentiate(a_i, "t", 1)
             b_i = differentiate(b_i, "t", 1)
             lot_i = [differentiate(e, "t", 1) for e in lot_i]
-        lower = [None if _is_zero(e) else op_weyl(e, 0.0, grid) for e in lot_i]
+        lower = [None if is_zero(e) else op_weyl(e, 0.0, grid) for e in lot_i]
         gen = _generator_matrix(grid, op_weyl(a_i, 0.0, grid), op_weyl(b_i, 0.0, grid),
                                 lower, grid.jp_values if i == 0 else 0)
         gen_derivs.append(((-1j) ** i) * gen)

@@ -260,13 +260,18 @@ def _window_bands(grid, bump, points_per_unit):
     return zeta, tuple(bands)
 
 
+def is_zero(expr):
+    """True for a symbol that is literally the constant 0 (its block is skipped)."""
+    return isinstance(expr, Const) and expr.value == 0.0
+
+
 def _friedrichs_matrix(entries, t, grid, bump, points_per_unit):
     N = grid.N
     zeta, bands = _window_bands(grid, bump, points_per_unit)
     uses = {}  # distinct nonzero entries -> their (block row, block column) places
     for bi, row in enumerate(entries):
         for bj, expr in enumerate(row):
-            if not (isinstance(expr, Const) and expr.value == 0.0):
+            if not is_zero(expr):
                 uses.setdefault(expr, []).append((bi, bj))
 
     b = len(entries)

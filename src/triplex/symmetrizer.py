@@ -74,9 +74,9 @@ def S_entries(a, b, a2):
     return [[3, 0, -a], [0, 2 * a, 3 * b], [-a, 3 * b, a2]]
 
 
-def J_entries(a, one=1.0):
+def J_entries(a):
     """J = diag(1, 1, a) as a 3x3 nested list."""
-    return [[one, 0, 0], [0, one, 0], [0, 0, a]]
+    return [[1.0, 0, 0], [0, 1.0, 0], [0, 0, a]]
 
 
 def A_entries(a, b, one=1.0):
@@ -208,16 +208,17 @@ class DeltaSymReport:
     tol: float
 
 
-def pointwise_delta(S, J, t):
+def pointwise_delta(S, a, t):
     """Largest delta with S - 2 delta t J >= 0 at each point of a stack.
 
     It is the generalized eigenvalue lambda_min(D^(-1/2) S D^(-1/2)), D = 2 t J
     (Golub & Van Loan 8.7), negative where S is not PSD.  Where D vanishes
-    there is no bound: +inf at t <= 0.  At a = J[2, 2] <= 0 < t the entry
+    there is no bound: +inf at t <= 0.  At a <= 0 < t the entry
     2a - 2 delta t is negative for every delta > 0, so the value is 0.
     """
-    ok = (t > 0) & (J[..., 2, 2] > 0)
-    d = np.where(ok[..., None], 2.0 * t[..., None] * np.diagonal(J, axis1=-2, axis2=-1), 1.0)
+    ok = (t > 0) & (a > 0)
+    diag_j = np.diagonal(matrix_J(a), axis1=-2, axis2=-1)
+    d = np.where(ok[..., None], 2.0 * t[..., None] * diag_j, 1.0)
     lam = np.linalg.eigvalsh(S / np.sqrt(d[..., :, None] * d[..., None, :]))[..., 0]
     return np.where(ok, lam, np.where(t > 0, 0.0, np.inf))
 
@@ -246,5 +247,5 @@ def lower_bound_delta(model: HyperbolicModel, grid, tol=1e-10):
         return DeltaSymReport(0.0, False, grid.describe(), tol)
     feasible_one = feasible(1.0)
     lo, hi = (1.0, 2.0**31) if feasible_one else (1e-8, 1.0)
-    delta = min(max(float(np.min(pointwise_delta(S, J, t))), lo), hi)
+    delta = min(max(float(np.min(pointwise_delta(S, a, t))), lo), hi)
     return DeltaSymReport(delta, feasible_one, grid.describe(), tol)

@@ -229,13 +229,12 @@ def test_lower_bound_delta_needs_at_most_three_eigensolves(monkeypatch):
 def test_pointwise_delta_is_the_generalized_eigenvalue():
     pe = _pe(2.0, 0.5, t=0.25)
     S, J = matrix_S(pe.a, pe.b), matrix_J(pe.a)
-    d = float(pointwise_delta(S, J, np.float64(pe.t)))
+    d = float(pointwise_delta(S, np.float64(pe.a), np.float64(pe.t)))
     assert np.linalg.eigvalsh(S - 2.0 * d * pe.t * J)[0] == pytest.approx(0.0, abs=1e-12)
     assert d > 0
     # where 2tJ vanishes in every direction delta is unbounded; where a = 0 it is 0
     stack = np.stack([S, S, matrix_S(0.0, 0.0)])
-    Js = np.stack([J, J, np.diag([1.0, 1.0, 0.0])])
-    got = pointwise_delta(stack, Js, np.array([pe.t, 0.0, 0.5]))
+    got = pointwise_delta(stack, np.array([pe.a, pe.a, 0.0]), np.array([pe.t, 0.0, 0.5]))
     assert got[0] == pytest.approx(d, rel=1e-14) and got[1] == np.inf and got[2] == 0.0
 
 
