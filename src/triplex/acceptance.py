@@ -397,13 +397,12 @@ def criterion_taylor_lift(quick=False, seed=0):
     h = 8e-3 / grid.K
     sub = 50
     asm = Assembler(model, lot, grid)
-    apply_gen = lambda tt, V: asm.generator(tt) @ V
 
     def march(U, t_from, t_to):
         step = (t_to - t_from) / sub
         t = t_from
         for _ in range(sub):
-            U = _rk4(U, t, step, apply_gen)
+            U = _rk4(U, t, step, asm.apply)
             t += step
         return U
 

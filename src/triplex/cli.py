@@ -36,7 +36,7 @@ from .evolution import (
     regularize_sweep,
     search_energy_constants,
 )
-from .models import LowerOrderTerms, ModelError, gallery, load_model_file
+from .models import GALLERY_NAMES, LowerOrderTerms, ModelError, gallery, load_model_file
 from .quantize import (
     FourierGrid,
     fp_check,
@@ -72,10 +72,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_model(source):
-    """Gallery name, 'name:k=v,...' parameter form, or a model file path."""
-    if os.path.exists(source):
-        return load_model_file(source)
+    """Gallery name, 'name:k=v,...' parameter form, or a model file path.
+
+    Gallery names win, so a file named like one is reached as ./name.
+    """
     name, _, params = source.partition(":")
+    if name not in GALLERY_NAMES and os.path.exists(source):
+        return load_model_file(source)
     kwargs = {}
     if params:
         for item in params.split(","):

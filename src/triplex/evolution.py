@@ -18,6 +18,7 @@ reference trajectory on the same nested time grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,23 +74,37 @@ def _generator_matrix(grid, op_a, op_b, lower, one):
 
 
 def _t_taylor(expr, cap=6):
-    """Taylor coefficient expressions in t, or None when not polynomial."""
-    terms = []
-    cur = expr
-    for i in range(cap + 1):
-        terms.append(cur)
-        if is_zero(cur):
-            return terms[:-1] or [cur]
-        cur = differentiate(cur, "t", 1)
-    return None
+    """Taylor coefficient expressions in t, or None when not a polynomial of degree <= cap."""
+    terms = [expr]
+    while not is_zero(terms[-1]):
+        if len(terms) > cap + 1:
+            return None
+        terms.append(differentiate(terms[-1], "t", 1))
+    return terms[:-1] or terms
+
+
+def _horner(t, Y, n):
+    """sum_i t^i Y_i for Y = [Y_0; ...; Y_p] stacked in blocks of n rows."""
+    acc = Y[-n:]
+    for i in range(Y.shape[0] // n - 2, -1, -1):
+        acc = acc * t + Y[i * n : (i + 1) * n]
+    return acc
+
+
+def _taylor_stack(coeffs):
+    """Read-only [C_0; ...; C_p] of equal-shape Taylor coefficients."""
+    out = np.concatenate(coeffs)
+    out.flags.writeable = False
+    return out
 
 
 class Assembler:
-    """Caches the generator and energy operators per time point.
+    """Applies the generator M(t) and the energy form without per-step matrices.
 
     Symbols polynomial in t (the whole gallery) quantize once into Taylor
-    basis matrices, so per-step assembly is a cheap linear combination;
-    anything else falls back to quantizing at each requested time.
+    stacks [C_0; ...; C_p] with Op(t) = sum_i t^i C_i, so applying an
+    operator is one matmul against the stack and a Horner sum in t; anything
+    else falls back to quantizing at each requested time.
     """
 
     def __init__(self, model: HyperbolicModel, lot: LowerOrderTerms, grid: FourierGrid):
@@ -98,17 +113,15 @@ class Assembler:
         self.grid = grid
         self.a_expr = model.a_expr
         self.a2_expr = self.a_expr * self.a_expr
-        self._cache = {}
-        self._max_entries = 8
         self._jp = grid.jp_values
         self._jp_inv2_block = np.concatenate([self._jp**-2.0] * 3)
+        self._shift = np.concatenate([self._jp] * 2)
+        self._dense = {}
         self._op_bases = {}
         for name, expr in self._symbols().items():
             terms = _t_taylor(expr)
-            self._op_bases[name] = None if terms is None else [
-                op_weyl(d, 0.0, grid) / math.factorial(i)
-                for i, d in enumerate(terms)
-            ]
+            self._op_bases[name] = None if terms is None else _taylor_stack(
+                [op_weyl(d, 0.0, grid) / math.factorial(i) for i, d in enumerate(terms)])
 
     def _symbols(self):
         return {
@@ -124,51 +137,95 @@ class Assembler:
         max_a = self.model.report.max_a if self.model.report else 1.0
         return cfl / ((math.sqrt(max(max_a, 0.0)) + 1.0) * float(np.max(self._jp)))
 
-    def _entry(self, t):
-        key = float(t)
-        if key not in self._cache:
-            if len(self._cache) >= self._max_entries:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = {}
-        return self._cache[key]
+    def _op(self, name, t, V=None):
+        """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix."""
+        basis = self._op_bases[name]
+        if basis is None:
+            op = op_weyl(self._symbols()[name], t, self.grid)
+            return op if V is None else op @ V
+        return _horner(t, basis if V is None else basis @ V, self.grid.N)
 
-    def _op(self, entry, name, t):
-        if name not in entry:
-            basis = self._op_bases[name]
-            if basis is None:
-                entry[name] = op_weyl(self._symbols()[name], t, self.grid)
-            else:
-                acc = basis[0].copy()
-                for i in range(1, len(basis)):
-                    acc += (t**i) * basis[i]
-                entry[name] = acc
-        return entry[name]
+    def _coefficients(self, names):
+        """Per degree i, the t^i coefficients of the named operators (zero past
+        a symbol's own degree), or None when one of them is not polynomial."""
+        bases = [self._op_bases[name] for name in names]
+        if any(basis is None for basis in bases):
+            return None
+        N = self.grid.N
+        zero = np.zeros((N, N))
+        terms = max(len(basis) for basis in bases) // N
+        return [[basis[i * N : (i + 1) * N] if (i + 1) * N <= len(basis) else zero
+                 for basis in bases] for i in range(terms)]
+
+    @functools.cached_property
+    def _row_stack(self):
+        """Taylor stack of M(t)'s first block row [B10, A<D> + B11, Bb<D> + B12].
+
+        Rows 2 and 3 of A<D> are the <D> shifts, applied directly.  None when
+        a symbol of the generator is not polynomial in t.
+        """
+        coeffs = self._coefficients(("a", "b", "b10", "b11", "b12"))
+        if coeffs is None:
+            return None
+        jp = self._jp
+        return _taylor_stack([
+            np.hstack([blk + low for blk, low in zip(A_entries(a * jp, b * jp)[0], lower)])
+            for a, b, *lower in coeffs])
+
+    @functools.cached_property
+    def _energy_stack(self):
+        """Taylor stack of Herm Op(S)(t), built on first use; None when not polynomial."""
+        coeffs = self._coefficients(("a", "b", "a2"))
+        if coeffs is None:
+            return None
+        const = self._herm_S(0, 0, 0)  # S is affine in (a, b, a2)
+        return _taylor_stack([self._herm_S(*entries) - (const if i else 0)
+                              for i, entries in enumerate(coeffs)])
+
+    def _herm_S(self, a, b, a2):
+        S = BlockOp.from_blocks(S_entries(a, b, a2), self.grid).matrix
+        return 0.5 * (S + S.conj().T)
+
+    def apply(self, t, V):
+        """M(t) @ V for V of shape (3N,) or (3N, nb)."""
+        W = self._row_stack
+        if W is None:
+            return self.generator(t) @ V
+        N = self.grid.N
+        shift = self._shift.reshape((-1,) + (1,) * (V.ndim - 1))
+        return np.concatenate([_horner(t, W @ V, N), shift * V[: 2 * N]])
 
     def generator(self, t):
-        """Dense M(t) with <D> as a right multiplier on the order-1 blocks."""
-        entry = self._entry(t)
-        if "gen" not in entry:
+        """Dense M(t) with <D> as a right multiplier on the order-1 blocks.
+
+        The matrices of the last two times are kept: an RK4 step on the
+        fallback path asks for t + h/2 twice and ends where the next begins.
+        """
+        key = float(t)
+        if key not in self._dense:
             symbols = self._symbols()
-            lower = [None if is_zero(symbols[name]) else self._op(entry, name, t)
+            lower = [None if is_zero(symbols[name]) else self._op(name, t)
                      for name in ("b10", "b11", "b12")]
-            entry["gen"] = _generator_matrix(self.grid, self._op(entry, "a", t),
-                                             self._op(entry, "b", t), lower, self._jp)
-        return entry["gen"]
+            gen = _generator_matrix(self.grid, self._op("a", t), self._op("b", t), lower, self._jp)
+            if len(self._dense) == 2:
+                self._dense.pop(next(iter(self._dense)))
+            self._dense[key] = gen
+        return self._dense[key]
 
-    def energy_matrix(self, t, lam):
-        """Hermitian part of Op(S)(t) + lam t^-1 blockdiag(jp^-2)."""
-        entry = self._entry(t)
-        if "senergy" not in entry:
-            blocks = S_entries(*(self._op(entry, name, t) for name in ("a", "b", "a2")))
-            S = BlockOp.from_blocks(blocks, self.grid).matrix
-            entry["senergy"] = 0.5 * (S + S.conj().T)
-        base = entry["senergy"]
-        if lam == 0.0 or t <= 0:
-            return base
-        return base + np.diag((lam / t) * self._jp_inv2_block)
+    def energy_matrix(self, t):
+        """Dense Hermitian part of Op(S)(t)."""
+        H = self._energy_stack
+        if H is not None:
+            return _horner(t, H, 3 * self.grid.N)
+        return self._herm_S(*(self._op(name, t) for name in ("a", "b", "a2")))
 
-    def op_a_matrix(self, t):
-        return self._op(self._entry(t), "a", t)
+    def energy_form(self, t, V, lam=0.0):
+        """Re <V, Stilde V> per column of V, Stilde = Herm Op(S)(t) + lam t^-1 blockdiag(jp^-2)."""
+        H = self._energy_stack
+        SV = self.energy_matrix(t) @ V if H is None else _horner(t, H @ V, 3 * self.grid.N)
+        if lam != 0.0 and t > 0:
+            SV = SV + (lam / t) * self._jp_inv2_block.reshape((-1,) + (1,) * (V.ndim - 1)) * V
+        return np.real(np.sum(V.conj() * SV, axis=0))
 
 
 def _rk4(U, t, h, apply_gen, F=None):
@@ -218,6 +275,12 @@ class EnergyTrace:
                    self.n1sq[i], self.n2sq[i], self.aU3U3[i], self.norm[i])
 
 
+def _check_horizon(model, T):
+    """The model is validated on [0, model.T] only; integrating past it is an error."""
+    if T > model.T:
+        raise ValueError(f"integration end {T:g} lies beyond the model horizon T = {model.T:g}")
+
+
 def _fixed_steps(cfg: EvolveConfig, asm: Assembler):
     """Uniform step points covering [eps_start, T] (last step clipped)."""
     h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
@@ -235,6 +298,7 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, record_energy=True,
     and flagged aborted (verdict "unbounded").
     """
     cfg.validate()
+    _check_horizon(model, cfg.T)
     asm = assembler or Assembler(model, lot, grid)
     steps = _fixed_steps(cfg, asm)
 
@@ -248,26 +312,23 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, record_energy=True,
         samples["norm"].append(float(np.linalg.norm(U)))
         if not record_energy:
             return
-        Sm = asm.energy_matrix(t, cfg.lam)
-        Q = float(np.real(np.vdot(U, Sm @ U)))
+        if F is None:
+            Q, Ft = float(asm.energy_form(t, U, cfg.lam)), 0.0
+        else:
+            Q, Ft = (float(v) for v in asm.energy_form(t, np.stack([U, F(t)], axis=1), cfg.lam))
         w = t ** (-cfg.n_weight) * math.exp(-cfg.gamma * t)
         samples["Q"].append(Q)
         samples["E"].append(w * Q)
         samples["n1"].append(float(np.real(np.vdot(U[:N], U[:N]))))
         samples["n2"].append(float(np.real(np.vdot(U[N : 2 * N], U[N : 2 * N]))))
         u3 = U[2 * N :]
-        samples["aU3"].append(float(np.real(np.vdot(u3, asm.op_a_matrix(t) @ u3))))
-        if F is not None:
-            Fv = F(t)
-            samples["Ft"].append(float(np.real(np.vdot(Fv, Sm @ Fv))))
-        else:
-            samples["Ft"].append(0.0)
+        samples["aU3"].append(float(np.real(np.vdot(u3, asm._op("a", t, u3)))))
+        samples["Ft"].append(Ft)
 
     aborted = False
     record(steps[0][0], U)
-    apply_gen = lambda tt, V: asm.generator(tt) @ V
     for t, h in steps:
-        U_new = _rk4(U, t, h, apply_gen, F)
+        U_new = _rk4(U, t, h, asm.apply, F)
         if np.linalg.norm(U_new) > cfg.growth_abort * max(np.linalg.norm(U), 1e-300):
             aborted = True
             break
@@ -403,11 +464,12 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
     clamped at 0, so the reference-run margins bottom out at zero.  The
     weight exponent N adds a display buffer; only N - N* enters verdicts.
     """
+    _check_horizon(model, T)
     asm = Assembler(model, lot, grid)
     jp_block = np.concatenate([grid.jp_values] * 3)
     lam_need = 0.0
     for t in np.geomspace(eps_start, T, 7):
-        H = asm.energy_matrix(t, 0.0)
+        H = asm.energy_matrix(t)
         sym = jp_block[:, None] * H * jp_block[None, :]
         lam_need = max(lam_need, 2.0 * t * max(0.0, -float(np.linalg.eigvalsh(sym)[0])))
     lam = _next_pow2(2.0 * lam_need) if lam_need > 0 else 1.0
@@ -460,6 +522,7 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
     cfg.validate()
     if len(k_list) < 2:
         raise ValueError(f"loss_probe needs at least two modes to fit an exponent, got {len(k_list)}")
+    _check_horizon(model, cfg.T)
     asm = Assembler(model, lot, grid)
     N = grid.N
     nb = len(k_list)
@@ -472,9 +535,8 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
     steps = _fixed_steps(cfg, asm)
     sup = np.ones(nb)
     aborted = False
-    apply_gen = lambda tt, V: asm.generator(tt) @ V
     for t, h in steps:
-        U_new = _rk4(U, t, h, apply_gen)
+        U_new = _rk4(U, t, h, asm.apply)
         norms_old = np.linalg.norm(U, axis=0)
         norms = np.linalg.norm(U_new, axis=0)
         if np.any(norms > cfg.growth_abort * np.maximum(norms_old, 1e-300)):

@@ -175,6 +175,15 @@ def test_model_file_source(capsys, tmp_path):
     assert _json_out(capsys)["holds"] is True
 
 
+def test_gallery_names_are_not_shadowed_by_local_files(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g_E").write_text("alpha = 0.5\n")
+    assert run(["analyze", "--model", "g_E", "--nt", "3"]) == 0
+    assert _json_out(capsys)["model"] == "g_E(eps=0.25)"
+    assert run(["analyze", "--model", "./g_E", "--nt", "3"]) == 0
+    assert _json_out(capsys)["model"] == "file"
+
+
 def test_usage_and_config_errors(capsys):
     assert run(["analyze", "--model", "nosuch"]) == 1
     assert "unknown gallery" in capsys.readouterr().err

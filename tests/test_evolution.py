@@ -63,7 +63,7 @@ def test_step_converges_at_fourth_order():
         h = H / n
         t = t0
         for _ in range(n):
-            U = _rk4(U, t, h, lambda tt, V: asm.generator(tt) @ V)
+            U = _rk4(U, t, h, asm.apply)
             t += h
         return U
 
@@ -337,4 +337,102 @@ def test_assembler_matches_direct_quantization():
         assert np.allclose(cached, direct, atol=1e-11 * operator_norm(direct))
         # the energy matrix and the sharp-bound layer quantize S independently
         H_S = quantize._fp_pieces(model, t, grid)[0]
-        assert np.allclose(asm.energy_matrix(t, 0.0), H_S, atol=1e-13 * operator_norm(H_S))
+        assert np.allclose(asm.energy_matrix(t), H_S, atol=1e-13 * operator_norm(H_S))
+
+
+GALLERY = ("g_strict", "g_zero_b", "g_E", "g_ex21p", "g_ex21m", "g_ex22")
+LOTS = {"zero": LowerOrderTerms.zero(), "trig": LowerOrderTerms.random_trig(13, amplitude=0.4)}
+
+
+def _rel(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("lot_name", sorted(LOTS))
+@pytest.mark.parametrize("name", GALLERY)
+def test_apply_matches_the_dense_generator(name, lot_name):
+    model = gallery(name)
+    rng = np.random.default_rng(14)
+    for K in (8, 16):
+        grid = FourierGrid(K, model.period)
+        asm = Assembler(model, LOTS[lot_name], grid)
+        for t in (0.1, 0.7):
+            gen = asm.generator(t)
+            for shape in ((3 * grid.N,), (3 * grid.N, 4)):
+                V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                assert _rel(asm.apply(t, V), gen @ V) <= 1e-13
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_energy_form_matches_the_dense_energy(name):
+    model = gallery(name)
+    grid = FourierGrid(8, model.period)
+    asm = Assembler(model, LOTS["trig"], grid)
+    rng = np.random.default_rng(15)
+    V = rng.standard_normal((3 * grid.N, 3)) + 1j * rng.standard_normal((3 * grid.N, 3))
+    jp_inv2 = np.concatenate([grid.jp_values**-2.0] * 3)
+    for t in (0.1, 0.7):
+        for lam in (0.0, 2.0):
+            Stilde = asm.energy_matrix(t) + np.diag((lam / t) * jp_inv2)
+            for col in range(V.shape[1]):
+                u = V[:, col]
+                dense = float(np.real(np.vdot(u, Stilde @ u)))
+                assert asm.energy_form(t, u, lam) == pytest.approx(dense, rel=1e-13)
+            cols = [float(np.real(np.vdot(V[:, j], Stilde @ V[:, j]))) for j in range(3)]
+            assert np.allclose(asm.energy_form(t, V, lam), cols, rtol=1e-13, atol=0.0)
+
+
+def test_non_polynomial_symbols_fall_back_to_the_dense_path():
+    # b = (t^8/2 - t)(1 - cos x) has degree 8, beyond the Taylor cap of 6
+    model = gallery("g_ex22", m=8)
+    lot = LOTS["trig"]
+    grid = FourierGrid(6)
+    asm = Assembler(model, lot, grid)
+    assert asm._row_stack is None and asm._energy_stack is None
+    rng = np.random.default_rng(16)
+    V = rng.standard_normal((3 * grid.N, 2)) + 1j * rng.standard_normal((3 * grid.N, 2))
+    for t in (0.1, 0.7):
+        direct = _direct_generator(model, lot, t, grid)
+        assert _rel(asm.apply(t, V), direct @ V) <= 1e-13
+        H_S = quantize._fp_pieces(model, t, grid)[0]
+        assert _rel(asm.energy_matrix(t), H_S) <= 1e-13
+        u = V[:, 0]
+        assert asm.energy_form(t, u) == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
+
+
+def test_taylor_stacks_cover_polynomials_up_to_the_cap():
+    grid = FourierGrid(4)
+    assert Assembler(gallery("g_ex22", m=6), None, grid)._row_stack is not None
+    assert Assembler(gallery("g_ex22", m=7), None, grid)._row_stack is None
+
+
+def test_polynomial_models_evolve_without_dense_matrices(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense 3N x 3N matrix built on the RK4 path")
+
+    monkeypatch.setattr(Assembler, "generator", dense)
+    monkeypatch.setattr(Assembler, "energy_matrix", dense)
+    model = gallery("g_E")
+    lot = LowerOrderTerms.random_trig(17, amplitude=0.4)
+    grid = FourierGrid(8)
+    F = np.zeros(3 * grid.N, dtype=complex)
+    F[grid.K] = 1.0
+    trace, _ = evolve(model, lot, _unit_state(grid, 18), EvolveConfig(T=0.5, lam=2.0), grid,
+                      F=lambda t: F)
+    assert np.all(np.isfinite(trace.E)) and np.all(trace.Fterm > 0)
+    assert np.isfinite(loss_probe(model, lot, grid, EvolveConfig(T=0.5), (2, 4)).exponent)
+
+
+def test_integration_past_the_model_horizon_is_rejected():
+    model = gallery("g_ex22", m=3)  # validated on [0, 1]; its discriminant is negative later
+    grid = FourierGrid(4)
+    cfg = EvolveConfig(T=3.0)
+    with pytest.raises(ValueError, match="horizon"):
+        evolve(model, None, _unit_state(grid, 19), cfg, grid)
+    with pytest.raises(ValueError, match="horizon"):
+        loss_probe(model, None, grid, cfg, (1, 2))
+    with pytest.raises(ValueError, match="horizon"):
+        search_energy_constants(model, None, grid, T=3.0)
+    longer = gallery("g_E", T=2.0)
+    trace, _ = evolve(longer, None, _unit_state(grid, 19), EvolveConfig(T=1.5), grid)
+    assert trace.t[-1] == pytest.approx(1.5)
