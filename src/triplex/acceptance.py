@@ -10,6 +10,7 @@ report files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -278,10 +279,12 @@ def criterion_energy_inequality(quick=False, seed=0):
     U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
     U0 /= np.linalg.norm(U0)
 
-    consts = search_energy_constants(model, lot, grid, U0=U0, dt_scale=0.125)
+    consts = search_energy_constants(model, lot, grid, U0=U0)
     n_run = max(consts.n_star, 1e-6)  # zero buffer: reference margins bottom at 0
-    reports = {}
-    for ds in (1.0, 0.5, 0.125):
+    # the dt run is the constants run, reweighted
+    reports = {1.0: energy_margins(dataclasses.replace(consts.trace, n_weight=n_run,
+                                                       n_star=n_run), tol=tol_E)}
+    for ds in (0.5, 0.125):
         cfg = EvolveConfig(eps_start=1e-2, T=1.0, dt_scale=ds, lam=consts.lam,
                            gamma=consts.gamma, n_weight=n_run, n_star=n_run)
         trace, _ = evolve(model, lot, U0, cfg, grid)
@@ -468,9 +471,8 @@ def _bundle(seed):
     rng = np.random.default_rng(seed + 1112)
     U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
     U0 /= np.linalg.norm(U0)
-    consts = search_energy_constants(model, lot, grid, U0=U0, dt_scale=0.25)
-    cfg = EvolveConfig(lam=consts.lam, n_weight=consts.n_weight, n_star=consts.n_star)
-    trace, _ = evolve(model, lot, U0, cfg, grid)
+    consts = search_energy_constants(model, lot, grid, U0=U0)
+    trace = consts.trace
     margins = energy_margins(trace)
     loss = loss_probe(model, lot, grid, EvolveConfig(), (1, 2, 4, 8))
     cond = check_condition(model, "E")

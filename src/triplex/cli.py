@@ -10,6 +10,7 @@ sits next to the numeric margin that produced it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -89,11 +90,18 @@ def _resolve_model(source):
     return gallery(name, **kwargs), LowerOrderTerms.zero()
 
 
-def _check_horizon(model, t1):
-    """The model is validated on [0, T] only; a later t1 is a usage error."""
+def _check_nt(nt):
+    if nt < 1:
+        raise ValueError(f"--nt must be at least 1, got {nt}")
+
+
+def _check_horizon(model, t1, flag="--t1"):
+    """The model is validated on [0, T] only; a later or non-finite time is a usage error."""
+    if not math.isfinite(t1):
+        raise ModelError(f"{flag} must be a finite number, got {t1}")
     if t1 > model.T:
         raise ModelError(
-            f"--t1 {t1:g} lies beyond the model horizon T = {model.T:g}, the end of the "
+            f"{flag} {t1:g} lies beyond the model horizon T = {model.T:g}, the end of the "
             f"interval the model was validated on; give a longer horizon in the "
             f"name:T=... form (name:T={t1:g}) or as a 'T = ...' line in a model file")
 
@@ -135,6 +143,7 @@ def _seeded_state(grid, seed):
 
 def _cmd_analyze(args):
     model, _ = _resolve_model(args.model)
+    _check_nt(args.nt)
     t_vals = np.linspace(args.t0, args.t1, args.nt)
     x_vals = np.linspace(0.0, model.period, 64, endpoint=False)
     xi_vals = np.logspace(0.0, math.log10(64.0), 9)
@@ -175,6 +184,7 @@ def _cmd_analyze(args):
 
 def _cmd_conditions(args):
     model, _ = _resolve_model(args.model)
+    _check_nt(args.nt)
     grid = default_condition_grid(model, nt=args.nt, t_min=args.t0 or None)
     if args.which in ("H", "E"):
         rep = check_condition(model, args.which, grid, delta=args.delta)
@@ -277,9 +287,11 @@ def _cmd_quantize(args):
 
 def _cmd_fpcheck(args):
     model, _ = _resolve_model(args.model)
-    if args.nt < 1:
-        raise ValueError(f"--nt must be at least 1, got {args.nt}")
-    _check_horizon(model, max(args.t0, args.t1))
+    _check_nt(args.nt)
+    if not args.t0 >= 0:
+        raise ValueError(f"--t0 must be a non-negative number (0: 1e-2), got {args.t0}")
+    _check_horizon(model, args.t0, "--t0")
+    _check_horizon(model, args.t1)
     grid = FourierGrid(args.grid_k, model.period)
     t_values = np.geomspace(args.t0 if args.t0 > 0 else 1e-2, args.t1, args.nt)
     if args.delta is not None and args.c is not None:
@@ -322,7 +334,7 @@ def _cmd_evolve(args):
     n_weight, lam = args.n_weight, getattr(args, "lam")
     if n_weight is None or lam is None:
         consts = search_energy_constants(model, lot, grid, eps_start=args.eps_start,
-                                         T=args.t1, gamma=args.gamma, U0=U0)
+                                         T=args.t1, gamma=args.gamma, U0=U0, dt=args.dt)
         searched = {"n_star": consts.n_star, "n_weight": consts.n_weight,
                     "gamma": consts.gamma, "lam": consts.lam}
         n_weight = consts.n_weight if n_weight is None else n_weight
@@ -333,7 +345,12 @@ def _cmd_evolve(args):
     cfg = EvolveConfig(eps_start=args.eps_start, T=args.t1, dt=args.dt,
                        n_weight=n_weight, n_star=min(n_star, n_weight),
                        gamma=args.gamma, lam=lam)
-    trace, _ = evolve(model, lot, U0, cfg, grid)
+    cfg.validate()
+    if searched is not None and lam == consts.lam:
+        # the constants run is this run: same U0, step and lam; only E's weight differs
+        trace = dataclasses.replace(consts.trace, n_weight=cfg.n_weight, n_star=cfg.n_star)
+    else:
+        trace, _ = evolve(model, lot, U0, cfg, grid)
     verdicts = {"aborted": trace.aborted}
     artifacts = [("trace.csv", reporting.energy_csv_text(trace))]
     ok = not trace.aborted

@@ -3,8 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from triplex import evolution
 from triplex.cli import run
 
 MODEL_TEXT = """
@@ -89,6 +91,55 @@ def test_fpcheck_empty_t_grid_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--nt" in captured.err
+
+
+def test_analyze_and_conditions_empty_t_grid_is_a_usage_error(capsys):
+    for command in ("analyze", "conditions"):
+        assert run([command, "--model", "g_E", "--nt", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--nt must be at least 1" in captured.err
+
+
+def test_non_finite_and_negative_times_are_usage_errors(capsys):
+    fp = ["fpcheck", "--model", "g_E", "--grid-k", "4", "--nt", "2"]
+    ev = ["evolve", "--model", "g_E", "--grid-k", "4"]
+    for argv, match in ((fp + ["--t0", "nan"], "--t0"),
+                        (fp + ["--t0", "-5"], "--t0"),
+                        (fp + ["--t1", "nan"], "--t1 must be a finite number"),
+                        (ev + ["--t1", "nan"], "--t1 must be a finite number"),
+                        (ev + ["--eps-start", "nan"], "eps_start"),
+                        (ev + ["--dt", "nan"], "dt must be positive and finite"),
+                        (["loss", "--model", "g_E", "--grid-k", "16", "--t1", "nan"],
+                         "--t1 must be a finite number")):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and match in captured.err, argv
+
+
+def test_evolve_integrates_its_state_once(capsys, monkeypatch):
+    starts = []
+    real = evolution._rk4
+
+    def counting(U, t, *args):
+        starts.append(t)
+        return real(U, t, *args)
+
+    monkeypatch.setattr(evolution, "_rk4", counting)
+    for extra in ([], ["--n-weight", "0.5"], ["--dt", "0.02"]):
+        starts.clear()
+        assert run(["evolve", "--model", "g_E", "--grid-k", "6", "--lot-seed", "3"] + extra) == 0
+        payload = _json_out(capsys)
+        assert len(starts) == payload["steps"] and np.all(np.diff(starts) > 0), extra
+    assert payload["cfg"]["dt"] == 0.02 and payload["steps"] == 50
+
+
+def test_evolve_past_the_stability_limit_is_unbounded(capsys):
+    # one K = 64 step across [1e-2, 1] grows the state past the abort factor
+    assert run(["evolve", "--model", "g_E", "--grid-k", "64", "--dt", "0.99"]) == 2
+    payload = _json_out(capsys)
+    assert payload["verdicts"] == {"aborted": True, "verdict": "unbounded"}
+    assert payload["searched_constants"]["n_star"] == "inf" and payload["steps"] == 0
 
 
 def test_evolve_artifacts_are_deterministic(capsys, tmp_path):
