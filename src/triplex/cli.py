@@ -106,6 +106,13 @@ def _check_horizon(model, t1, flag="--t1"):
             f"name:T=... form (name:T={t1:g}) or as a 'T = ...' line in a model file")
 
 
+def _check_time(model, t, flag):
+    """A start or evaluation time must be a finite number in [0, T]."""
+    _check_horizon(model, t, flag)
+    if t < 0:
+        raise ValueError(f"{flag} must be non-negative, got {t:g}")
+
+
 def _lot_for(args, lot_from_file):
     seed = getattr(args, "lot_seed", None)
     if seed is not None:
@@ -144,6 +151,8 @@ def _seeded_state(grid, seed):
 def _cmd_analyze(args):
     model, _ = _resolve_model(args.model)
     _check_nt(args.nt)
+    _check_time(model, args.t0, "--t0")
+    _check_time(model, args.t1, "--t1")
     t_vals = np.linspace(args.t0, args.t1, args.nt)
     x_vals = np.linspace(0.0, model.period, 64, endpoint=False)
     xi_vals = np.logspace(0.0, math.log10(64.0), 9)
@@ -185,6 +194,7 @@ def _cmd_analyze(args):
 def _cmd_conditions(args):
     model, _ = _resolve_model(args.model)
     _check_nt(args.nt)
+    _check_time(model, args.t0, "--t0")
     grid = default_condition_grid(model, nt=args.nt, t_min=args.t0 or None)
     if args.which in ("H", "E"):
         rep = check_condition(model, args.which, grid, delta=args.delta)
@@ -258,6 +268,7 @@ def _cmd_symmetrizer(args):
 
 def _cmd_quantize(args):
     model, _ = _resolve_model(args.model)
+    _check_time(model, args.t0, "--t0")
     grid = FourierGrid(args.grid_k, model.period)
     t = args.t0
     op_a = op_weyl(model.a_expr, t, grid)
@@ -288,10 +299,8 @@ def _cmd_quantize(args):
 def _cmd_fpcheck(args):
     model, _ = _resolve_model(args.model)
     _check_nt(args.nt)
-    if not args.t0 >= 0:
-        raise ValueError(f"--t0 must be a non-negative number (0: 1e-2), got {args.t0}")
-    _check_horizon(model, args.t0, "--t0")
-    _check_horizon(model, args.t1)
+    _check_time(model, args.t0, "--t0")
+    _check_time(model, args.t1, "--t1")
     grid = FourierGrid(args.grid_k, model.period)
     t_values = np.geomspace(args.t0 if args.t0 > 0 else 1e-2, args.t1, args.nt)
     if args.delta is not None and args.c is not None:
@@ -527,7 +536,7 @@ def _build_parser():
     p.add_argument("--grid-k", type=int, default=32)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--t0", type=float, default=1e-2)
+    p.add_argument("--t0", type=float, default=1e-2, help="smallest grid t (0: 1e-2)")
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--nt", type=int, default=10)
     p.add_argument("--out")

@@ -120,11 +120,6 @@ def root_oracle_array(a, b, jp):
     return np.sort(eigs.real, axis=-1)[..., ::-1]
 
 
-def root_oracle(a, b, jp=1.0):
-    lam = root_oracle_array(a, b, jp)
-    return RootTriple(float(lam[0]), float(lam[1]), float(lam[2]))
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     roots: RootTriple

@@ -30,10 +30,8 @@ import numpy as np
 from .cubic import Grid3, check_condition, default_condition_grid
 from .models import HyperbolicModel, LowerOrderTerms, ModelError, build_model
 from .symbols import Const, X, call, differentiate
-from .quantize import BlockOp, FourierGrid, is_zero, op_weyl, operator_norm
+from .quantize import BlockOp, FourierGrid, is_zero, op_weyl, operator_norm, top_eigenvalue
 from .symmetrizer import A_entries, S_entries
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -61,19 +59,22 @@ class EvolveConfig:
             raise ValueError("dt must be positive and finite")
 
 
-def _generator_matrix(grid, op_a, op_b, lower, one):
-    """A <D> + B laid out from A_entries.
+_ROW_SYMBOLS = ("a", "b", "b10", "b11", "b12")
 
-    <D> multiplies the order-one blocks Op(a), Op(b) and one (<D> itself in
-    M(t), 0 in its t-derivatives); the lower-order blocks (None where absent)
-    are added into the first block row before the layout.
+
+def _first_row(jp, a, b, b10, b11, b12):
+    """M's first block row [B10, A<D> + B11, Bb<D> + B12] from A_entries, as one N x 3N array.
+
+    The arguments are the N x N operators of _ROW_SYMBOLS, or their
+    t-derivatives; <D> = diag(jp) multiplies Op(a) and Op(b) from the right.
+    M's other block rows are the <D> shifts of A's second and third rows.
     """
-    jp = grid.jp_values
-    rows = A_entries(op_a * jp, op_b * jp, one)
-    for j, low in enumerate(lower):
-        if low is not None:
-            rows[0][j] += low  # in place on the fresh products above
-    return BlockOp.from_blocks(rows, grid).matrix
+    return np.hstack([blk + low for blk, low in zip(A_entries(a * jp, b * jp)[0], (b10, b11, b12))])
+
+
+def _shifts(shift, V):
+    """M's second and third block rows applied to V: shift = [jp, jp] on its first two blocks."""
+    return shift.reshape((-1,) + (1,) * (V.ndim - 1)) * V[: len(shift)]
 
 
 def _t_taylor(expr, cap=6):
@@ -128,7 +129,7 @@ class Assembler:
         self._jp = grid.jp_values
         self._jp_inv2_block = np.concatenate([self._jp**-2.0] * 3)
         self._shift = np.concatenate([self._jp] * 2)
-        self._dense = {}
+        self._rows = {}
         self._bases = {}
 
     def _symbols(self):
@@ -175,18 +176,11 @@ class Assembler:
 
     @functools.cached_property
     def _row_stack(self):
-        """Taylor stack of M(t)'s first block row [B10, A<D> + B11, Bb<D> + B12].
-
-        Rows 2 and 3 of A<D> are the <D> shifts, applied directly.  None when
-        a symbol of the generator is not polynomial in t.
-        """
-        coeffs = self._coefficients(("a", "b", "b10", "b11", "b12"))
+        """Taylor stack of M(t)'s first block row; None when a symbol is not polynomial in t."""
+        coeffs = self._coefficients(_ROW_SYMBOLS)
         if coeffs is None:
             return None
-        jp = self._jp
-        return _taylor_stack([
-            np.hstack([blk + low for blk, low in zip(A_entries(a * jp, b * jp)[0], lower)])
-            for a, b, *lower in coeffs])
+        return _taylor_stack([_first_row(self._jp, *ops) for ops in coeffs])
 
     @functools.cached_property
     def _energy_stack(self):
@@ -202,31 +196,29 @@ class Assembler:
         S = BlockOp.from_blocks(S_entries(a, b, a2), self.grid).matrix
         return 0.5 * (S + S.conj().T)
 
-    def apply(self, t, V):
-        """M(t) @ V for V of shape (3N,) or (3N, nb)."""
+    def row(self, t):
+        """M(t)'s first block row R(t), N x 3N; the rest of M are the <D> shifts."""
         W = self._row_stack
-        if W is None:
-            return self.generator(t) @ V
-        N = self.grid.N
-        shift = self._shift.reshape((-1,) + (1,) * (V.ndim - 1))
-        return np.concatenate([_horner(t, W @ V, N), shift * V[: 2 * N]])
+        return self._quantized_row(t) if W is None else _horner(t, W, self.grid.N)
 
-    def generator(self, t):
-        """Dense M(t) with <D> as a right multiplier on the order-1 blocks.
+    def _quantized_row(self, t):
+        """R(t) from the symbols quantized at t, for symbols not polynomial in t.
 
-        The matrices of the last two times are kept: an RK4 step on the
-        fallback path asks for t + h/2 twice and ends where the next begins.
+        The rows of the last two times are kept: an RK4 step asks for t + h/2
+        twice and ends where the next begins.
         """
         key = float(t)
-        if key not in self._dense:
-            symbols = self._symbols()
-            lower = [None if is_zero(symbols[name]) else self._op(name, t)
-                     for name in ("b10", "b11", "b12")]
-            gen = _generator_matrix(self.grid, self._op("a", t), self._op("b", t), lower, self._jp)
-            if len(self._dense) == 2:
-                self._dense.pop(next(iter(self._dense)))
-            self._dense[key] = gen
-        return self._dense[key]
+        if key not in self._rows:
+            if len(self._rows) == 2:
+                self._rows.pop(next(iter(self._rows)))
+            self._rows[key] = _first_row(self._jp, *(self._op(name, t) for name in _ROW_SYMBOLS))
+        return self._rows[key]
+
+    def apply(self, t, V):
+        """M(t) @ V for V of shape (3N,) or (3N, nb), from R(t) and the <D> shifts."""
+        W = self._row_stack
+        RV = self._quantized_row(t) @ V if W is None else _horner(t, W @ V, self.grid.N)
+        return np.concatenate([RV, _shifts(self._shift, V)])
 
     def energy_matrix(self, t):
         """Dense Hermitian part of Op(S)(t)."""
@@ -351,12 +343,29 @@ def _check_horizon(model, T):
         raise ValueError(f"integration end {T:g} lies beyond the model horizon T = {model.T:g}")
 
 
+@dataclass(frozen=True)
+class _Steps:
+    """n uniform steps (t_i, h_i) from t_i = start + i h, the last one clipped at end.
+
+    Iterated lazily: a tiny dt costs its steps' time, not a list of them.
+    """
+
+    start: float
+    h: float
+    n: int
+    end: float
+
+    def __iter__(self):
+        for i in range(self.n):
+            t = self.start + self.h * i
+            yield t, min(self.h, self.end - t)
+
+
 def _fixed_steps(cfg: EvolveConfig, asm: Assembler):
-    """Uniform step points covering [eps_start, T] (last step clipped)."""
+    """Uniform steps covering [eps_start, T] (last step clipped)."""
     h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
     n = max(1, math.ceil((cfg.T - cfg.eps_start) / h - 1e-12))
-    ts = cfg.eps_start + h * np.arange(n)
-    return [(float(t), float(min(h, cfg.T - t))) for t in ts]
+    return _Steps(cfg.eps_start, h, n, cfg.T)
 
 
 def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, assembler=None):
@@ -385,8 +394,9 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, assembler=None):
 
     aborted = False
     U = np.array(U0, dtype=complex)
-    dU = slope(steps[0][0], U)
-    record(steps[0][0], U, dU)
+    t0, dt = next(iter(steps))
+    dU = slope(t0, U)
+    record(t0, U, dU)
     for t, h in steps:
         U_new = _rk4(U, t, h, asm.apply, F, dU)
         if np.linalg.norm(U_new) > cfg.growth_abort * max(np.linalg.norm(U), 1e-300):
@@ -397,7 +407,7 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, assembler=None):
         record(t + h, U, dU)
 
     t, Q, dQ, Fterm, n1sq, n2sq, aU3U3, norm = np.array(rows).T.copy()
-    trace = EnergyTrace(t=t, dt=steps[0][1], Q=Q, dQ=dQ, n1sq=n1sq, n2sq=n2sq,
+    trace = EnergyTrace(t=t, dt=dt, Q=Q, dQ=dQ, n1sq=n1sq, n2sq=n2sq,
                         aU3U3=aU3U3, norm=norm, Fterm=Fterm, n_weight=cfg.n_weight,
                         n_star=cfg.n_star, gamma=cfg.gamma, lam=cfg.lam, aborted=aborted)
     return trace, U
@@ -657,20 +667,30 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
     above 2/nu.  Reports nu |A_nu| and nu^-1 |[chi_nu, M]|, which symbol
     calculus keeps comparable across nu; entries whose transition band
     2/nu escapes the grid are flagged and excluded from the spread.
+
+    Both norms come from M's first block row R(t) by Lanczos, without
+    forming M: |A_nu|^2 = |M chi_{nu/2}|^2 is the top eigenvalue of
+    chi_{nu/2} M^H M chi_{nu/2}, and the commutator is chi_nu R - R chi_nu.
     """
-    asm = Assembler(model, lot, grid)
-    gen = asm.generator(t)
+    N = grid.N
+    R = Assembler(model, lot, grid).row(t)
+    Rh = R.conj().T
     freqs_abs = np.abs(np.concatenate([grid.freqs] * 3))
+    shift_sq = np.concatenate([grid.jp_values**2] * 2 + [np.zeros(N)])  # M^H M - R^H R
     scaled_low, scaled_comm, flagged = [], [], []
     for nu in nus:
         if not 0 < nu <= 1:
             raise ValueError("cutoff scales must lie in (0, 1]")
         chi_half = _taper(0.5 * nu * freqs_abs)
         chi_full = _taper(nu * freqs_abs)
-        A_nu = gen * chi_half[None, :]
-        R_nu = chi_full[:, None] * gen - gen * chi_full[None, :]
-        scaled_low.append(nu * operator_norm(A_nu))
-        scaled_comm.append(operator_norm(R_nu) / nu)
+
+        def lowpass_gram(v, chi=chi_half):
+            """chi M^H M chi v, with M^H M = R^H R + diag(jp^2, jp^2, 0) from the shifts."""
+            return chi * (Rh @ (R @ (chi * v))) + chi**2 * shift_sq * v
+
+        scaled_low.append(nu * math.sqrt(top_eigenvalue(lowpass_gram, 3 * N)))
+        # the <D> shifts commute with chi_nu, so [chi_nu, M] vanishes below the first block row
+        scaled_comm.append(operator_norm(chi_full[:N, None] * R - R * chi_full[None, :]) / nu)
         flagged.append(bool(2.0 / nu > grid.K))
     ok = [i for i, fl in enumerate(flagged) if not fl]
     spread = 0.0
@@ -690,7 +710,7 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
 
 
 # ---------------------------------------------------------------------------
-# smooth window expressions, partition of unity, extension
+# smooth window expressions, extension
 
 def window_expr(center, r_in, r_out, beta_scale=35.0):
     """Smooth periodic plateau: ~1 for |x - center| <= r_in, ~0 beyond r_out.
@@ -709,80 +729,6 @@ def window_expr(center, r_in, r_out, beta_scale=35.0):
     beta = min(beta_scale / max(halfgap, 1e-12), 600.0 / (1.0 + math.cos(mid)))
     z = Const(beta) * (Const(math.cos(mid)) - call("cos", X - Const(center)))
     return Const(1.0) / (Const(1.0) + call("exp", z))
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    chis: tuple
-    sos_max_dev: float
-    covering_min: float
-    commutator_norms: dict           # K -> per-window |[Op(chi_a), M]| restricted
-    commutator_norms_plain: dict     # K -> unrestricted norms (grow with K)
-
-
-def partition_sos(windows, chi=None, period=TWO_PI, beta_scale=3.0,
-                  model=None, lot=None, K_list=(16, 32, 64), t=0.5):
-    """Square partition chi_a = chi w_a / sqrt(sum w^2) over the windows.
-
-    windows is a list of (lo, hi) x-intervals whose union must cover the
-    support of chi (default chi = 1, the whole torus).  The SOS identity
-    sum chi_a^2 = chi^2 holds algebraically; its grid deviation and the
-    generator commutator norms (when a model is given) are reported.
-
-    Two commutator norms are recorded per truncation K.  The plain norm of
-    [Op(chi_a), M(t)] is dominated by modes at the grid edge, where the
-    truncation acts as an extra sharp frequency cutoff and contributes
-    entries of size jp(K); it grows linearly in K and says nothing about
-    the symbols.  Compressing to inputs and outputs in the resolved half
-    band |k| <= K/2 removes the edge artifact and converges to the
-    continuum commutator norm from below, so that is the bounded quantity.
-    """
-    if chi is None:
-        chi = Const(1.0)
-    if not windows:
-        raise ValueError("need at least one window")
-    ws = []
-    for lo, hi in windows:
-        if not hi > lo:
-            raise ValueError("window must have hi > lo")
-        c = 0.5 * (lo + hi)
-        r = 0.5 * (hi - lo)
-        ws.append(window_expr(c, 0.75 * r, r, beta_scale))
-    s2 = ws[0] * ws[0]
-    for w in ws[1:]:
-        s2 = s2 + w * w
-    xs = np.linspace(0.0, period, 4096, endpoint=False)
-    chi_vals = np.broadcast_to(np.asarray(chi.evaluate(0.0, xs, 0.0)), xs.shape)
-    s2_vals = np.broadcast_to(np.asarray(s2.evaluate(0.0, xs, 0.0)), xs.shape)
-    support = np.abs(chi_vals) > 1e-12
-    covering_min = float(np.min(s2_vals[support])) if support.any() else float(np.min(s2_vals))
-    if covering_min < 1e-8:
-        raise ValueError(
-            f"windows do not cover the support of chi (min sum w^2 = {covering_min:.3e})"
-        )
-    root = call("sqrt", s2)
-    chis = tuple(chi * w / root for w in ws)
-    total = sum(
-        np.broadcast_to(np.asarray(c.evaluate(0.0, xs, 0.0)), xs.shape) ** 2 for c in chis
-    )
-    sos_dev = float(np.max(np.abs(total - chi_vals**2)))
-    comm, comm_plain = {}, {}
-    if model is not None:
-        for K in K_list:
-            g = FourierGrid(K, period)
-            gen = Assembler(model, lot, g).generator(t)
-            half = np.kron(np.eye(3), np.diag((np.abs(g.freqs) <= K // 2).astype(float)))
-            norms, norms_plain = [], []
-            for c in chis:
-                op_c = op_weyl(c, 0.0, g)
-                blk = np.kron(np.eye(3), op_c)
-                full = blk @ gen - gen @ blk
-                norms.append(operator_norm(half @ full @ half))
-                norms_plain.append(operator_norm(full))
-            comm[K] = norms
-            comm_plain[K] = norms_plain
-    return PartitionReport(chis=chis, sos_max_dev=sos_dev, covering_min=covering_min,
-                           commutator_norms=comm, commutator_norms_plain=comm_plain)
 
 
 @dataclass(frozen=True)
@@ -899,18 +845,20 @@ def taylor_lift(model, lot, data, order, grid, f=None):
     if U0.shape != (3 * N,):
         raise ValueError("data must be three coefficient vectors of length N")
 
-    gen_derivs = []
-    a_i, b_i = model.a_expr, model.b
-    lot_i = [lot.b10, lot.b11, lot.b12]
+    # D_t^i M at 0: (-i)^i times the i-th t-derivative of M's first block
+    # row; the <D> shifts are constant in t, so they enter at i = 0 only
+    jp = grid.jp_values
+    exprs = [model.a_expr, model.b, lot.b10, lot.b11, lot.b12]
+    rows = []
     for i in range(order):
         if i:
-            a_i = differentiate(a_i, "t", 1)
-            b_i = differentiate(b_i, "t", 1)
-            lot_i = [differentiate(e, "t", 1) for e in lot_i]
-        lower = [None if is_zero(e) else op_weyl(e, 0.0, grid) for e in lot_i]
-        gen = _generator_matrix(grid, op_weyl(a_i, 0.0, grid), op_weyl(b_i, 0.0, grid),
-                                lower, grid.jp_values if i == 0 else 0)
-        gen_derivs.append(((-1j) ** i) * gen)
+            exprs = [differentiate(e, "t", 1) for e in exprs]
+        rows.append(((-1j) ** i) * _first_row(jp, *(op_weyl(e, 0.0, grid) for e in exprs)))
+
+    shift = np.concatenate([jp] * 2)
+
+    def gen_deriv(i, V):
+        return np.concatenate([rows[i] @ V, _shifts(shift, V) if i == 0 else np.zeros(2 * N)])
 
     f_derivs = []
     if f is not None:
@@ -926,7 +874,7 @@ def taylor_lift(model, lot, data, order, grid, f=None):
     for j in range(order):
         nxt = np.zeros(3 * N, dtype=complex)
         for i in range(j + 1):
-            nxt += math.comb(j, i) * (gen_derivs[i] @ coeffs[j - i])
+            nxt += math.comb(j, i) * gen_deriv(i, coeffs[j - i])
         if f is not None:
             nxt += f_derivs[j]
         coeffs.append(nxt)

@@ -50,6 +50,7 @@ __all__ = [
     "fp_check",
     "fp_search",
     "operator_norm",
+    "top_eigenvalue",
 ]
 
 
@@ -329,31 +330,42 @@ def friedrichs_part(entries, t, grid, bump=None, points_per_unit=33, adaptive=Tr
 # ---------------------------------------------------------------------------
 # residuals and lower-bound checks
 
-def operator_norm(matrix, tol=1e-8, max_iter=10000):
-    """Largest singular value by power iteration on M^H M.
+def top_eigenvalue(op, n):
+    """Largest eigenvalue of a Hermitian positive semidefinite operator v -> op(v) on C^n.
 
-    Deterministic start vector; tol is relative on the Rayleigh estimate.
+    Lanczos with full reorthogonalization from a fixed start vector (Golub &
+    Van Loan §10.1).  It stops when the top Ritz value moves by less than
+    1e-12 relative, on breakdown (the Krylov space is invariant, so its Ritz
+    values are eigenvalues), and after n steps at the latest.  Like any
+    single-vector Krylov method it cannot split a close top pair in a few
+    steps: when the upper eigenvector is nearly orthogonal to the start
+    vector, it can stop near the lower eigenvalue.
     """
-    m = matrix.matrix if isinstance(matrix, BlockOp) else np.asarray(matrix)
-    n = m.shape[1]
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
     v /= np.linalg.norm(v)
-    mh = m.conj().T
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        new_sigma = np.linalg.norm(w)
-        if new_sigma == 0.0:
-            return 0.0
-        v = mh @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return float(new_sigma)
-        v /= nv
-        if abs(new_sigma - sigma) <= tol * new_sigma:
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
+    Q = np.empty((n, n), dtype=complex)  # Lanczos vectors as rows; only the rows used are touched
+    alpha, beta = np.zeros(n), np.zeros(n)
+    top = 0.0
+    for k in range(n):
+        Q[k] = v
+        w = op(v)
+        alpha[k] = np.vdot(v, w).real
+        for _ in range(2):  # Gram-Schmidt twice against every earlier vector
+            w = w - Q[: k + 1].T @ (Q[: k + 1].conj() @ w)
+        beta[k] = np.linalg.norm(w)
+        T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        prev, top = top, float(np.linalg.eigvalsh(T)[-1])
+        if beta[k] <= 1e-12 * abs(top) or (k and top - prev <= 1e-12 * top):
+            break
+        v = w / beta[k]
+    return top
+
+
+def operator_norm(matrix):
+    """Largest singular value: sqrt of the top eigenvalue of M^H M, by Lanczos."""
+    m = matrix.matrix if isinstance(matrix, BlockOp) else np.asarray(matrix)
+    gram = lambda v: ((m @ v).conj() @ m).conj()  # M^H M v without forming M^H
+    return math.sqrt(max(top_eigenvalue(gram, m.shape[1]), 0.0))
 
 
 def sgarding_residual(entries, t, K_list, period=2.0 * math.pi, bump=None):

@@ -117,6 +117,25 @@ def test_non_finite_and_negative_times_are_usage_errors(capsys):
         assert captured.out == "" and match in captured.err, argv
 
 
+def test_times_outside_the_model_interval_are_usage_errors(capsys):
+    # a verdict drawn from times outside [0, T], where the model is not validated, is no verdict
+    for argv, match in ((["analyze", "--t1", "5"], "--t1 5 lies beyond the model horizon"),
+                        (["analyze", "--t0", "nan"], "--t0 must be a finite number"),
+                        (["analyze", "--t0", "-1"], "--t0 must be non-negative"),
+                        (["analyze", "--t1", "-1"], "--t1 must be non-negative"),
+                        (["quantize", "--grid-k", "4", "--t0", "nan"], "--t0 must be a finite"),
+                        (["quantize", "--grid-k", "4", "--t0", "-3"], "--t0 must be non-negative"),
+                        (["quantize", "--grid-k", "4", "--t0", "2"], "--t0 2 lies beyond"),
+                        (["conditions", "--t0", "nan"], "--t0 must be a finite number"),
+                        (["conditions", "--t0", "-1"], "--t0 must be non-negative"),
+                        (["fpcheck", "--grid-k", "4", "--t1", "-1"], "--t1 must be non-negative")):
+        assert run(argv[:1] + ["--model", "g_E"] + argv[1:]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and match in captured.err, argv
+    assert run(["analyze", "--model", "g_E", "--t0", "0", "--t1", "1", "--nt", "3"]) == 0
+    assert run(["quantize", "--model", "g_E", "--grid-k", "4", "--t0", "0"]) == 0
+
+
 def test_evolve_integrates_its_state_once(capsys, monkeypatch):
     starts = []
     real = evolution._rk4

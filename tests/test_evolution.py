@@ -1,4 +1,4 @@
-"""Time integration, energy margins, cutoff/partition checks, lifts, sweeps."""
+"""Time integration, energy margins, cutoff checks, lifts, sweeps."""
 
 import dataclasses
 import math
@@ -12,21 +12,24 @@ from triplex import evolution, quantize
 from triplex.evolution import (
     Assembler,
     EvolveConfig,
+    _fixed_steps,
     _rk4,
+    _taper,
     energy_margins,
     evolve,
     extend_model,
     frequency_cutoff_check,
     loss_probe,
     margin_deviation,
-    partition_sos,
     regularize_sweep,
     search_energy_constants,
     taylor_lift,
     window_expr,
 )
 from triplex.models import LowerOrderTerms, ModelError, gallery
-from triplex.quantize import FourierGrid, op_weyl, operator_norm
+from triplex.quantize import BlockOp, FourierGrid, op_weyl, operator_norm
+from triplex.symbols import differentiate
+from triplex.symmetrizer import A_entries
 
 
 def _unit_state(grid, seed):
@@ -43,8 +46,8 @@ def test_generator_blocks_express_the_first_order_system():
     model = gallery("g_strict")  # a independent of x: all blocks diagonal
     grid = FourierGrid(4)
     t = 0.4
-    gen = Assembler(model, LowerOrderTerms.zero(), grid).generator(t)
     N = grid.N
+    gen = Assembler(model, LowerOrderTerms.zero(), grid).apply(t, np.eye(3 * N))
     a_val = t + 1.0
     jp = np.diag(grid.jp_values)
     assert np.allclose(gen[:N, N : 2 * N], a_val * jp, atol=1e-12)
@@ -334,26 +337,24 @@ def test_cutoff_lowpass_scaling_is_flat():
         frequency_cutoff_check(model, None, grid, nus=(2.0,))
 
 
-def test_partition_squares_sum_to_one():
-    windows = [(0.0, 2.5), (2.0, 4.5), (4.0, 2 * math.pi + 0.5)]
-    rep = partition_sos(windows)
-    assert rep.sos_max_dev <= 1e-12
-    # plateau overlap keeps the weight sums pinned near one everywhere
-    assert rep.covering_min >= 0.9
-    sharper = partition_sos(windows, beta_scale=6.0)
-    assert sharper.covering_min >= rep.covering_min
-
-
-def test_partition_commutators_resolved_band_is_bounded():
-    windows = [(0.0, 2.5), (2.0, 4.5), (4.0, 2 * math.pi + 0.5)]
-    model = gallery("g_E")
-    rep = partition_sos(windows, model=model, lot=LowerOrderTerms.zero(),
-                        K_list=(16, 32, 64))
-    resolved = [max(rep.commutator_norms[k]) for k in (16, 32, 64)]
-    plain = [max(rep.commutator_norms_plain[k]) for k in (16, 32, 64)]
-    assert max(resolved) / min(resolved) <= 3.0
-    # the unrestricted norms pick up the truncation edge and keep growing
-    assert plain[2] > plain[0]
+@pytest.mark.parametrize("source", [("g_E", {}), ("g_ex22", {"m": 8})])
+def test_cutoff_norms_match_the_dense_generator(source):
+    # g_ex22 with m = 8 is not polynomial in t and takes the quantized-row path
+    model = gallery(source[0], **source[1])
+    lot = LowerOrderTerms.random_trig(20, amplitude=0.4)
+    grid = FourierGrid(16)
+    nus = (0.5, 0.25, 0.125, 0.0625)
+    t = 0.3
+    rep = frequency_cutoff_check(model, lot, grid, nus, t=t)
+    gen = _direct_generator(model, lot, t, grid)
+    freqs_abs = np.abs(np.concatenate([grid.freqs] * 3))
+    for nu, low, comm in zip(nus, rep.scaled_low, rep.scaled_comm):
+        chi_half, chi = _taper(0.5 * nu * freqs_abs), _taper(nu * freqs_abs)
+        want_low = nu * np.linalg.norm(gen * chi_half[None, :], 2)
+        want_comm = np.linalg.norm(chi[:, None] * gen - gen * chi[None, :], 2) / nu
+        assert low == pytest.approx(want_low, rel=1e-10)
+        assert comm == pytest.approx(want_comm, rel=1e-10)
+    assert rep.flagged == (False, False, False, True)
 
 
 def test_window_expr_is_a_plateau():
@@ -381,12 +382,42 @@ def test_taylor_lift_matches_short_evolution():
     asm = Assembler(model, lot, grid)
 
     def residual(t):
-        gen = asm.generator(t)
-        return np.linalg.norm(lift.deriv(t, 1) - gen @ lift.eval(t))
+        return np.linalg.norm(lift.deriv(t, 1) - asm.apply(t, lift.eval(t)))
 
     r1, r2 = residual(2e-3), residual(1e-3)
     ratio = r1 / r2
     assert 2.0 ** 4.5 <= ratio <= 2.0 ** 5.5
+
+
+def test_taylor_lift_coefficients_match_the_dense_recursion():
+    # U_{j+1} = sum_i C(j, i) D_t^i M(0) U_{j-i} + D_t^j F(0), D_t^i M(0) = (-i)^i M^(i)(0)
+    # with M^(i)(0) laid out densely from the t-derivatives of the symbols
+    model = gallery("g_E")
+    lot = LowerOrderTerms.random_trig(21, amplitude=0.4)
+    f = lot.b11 + model.b  # any forcing expression in (t, x)
+    grid = FourierGrid(5)
+    N = grid.N
+    rng = np.random.default_rng(22)
+    data = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(3)]
+    order = 5
+    lift = taylor_lift(model, lot, data, order=order, grid=grid, f=f)
+
+    exprs = [model.a_expr, model.b, lot.b10, lot.b11, lot.b12, f]
+    derivs, forcing = [], []
+    for i in range(order):
+        if i:
+            exprs = [differentiate(e, "t", 1) for e in exprs]
+        a, b, b10, b11, b12 = (op_weyl(e, 0.0, grid) for e in exprs[:5])
+        rows = A_entries(a * grid.jp_values, b * grid.jp_values, grid.jp_values if i == 0 else 0)
+        rows[0] = [b10, rows[0][1] + b11, rows[0][2] + b12]
+        derivs.append((-1j) ** i * BlockOp.from_blocks(rows, grid).matrix)
+        forcing.append((-1j) ** i * np.concatenate([grid.coefficients(exprs[5]), np.zeros(2 * N)]))
+    want = [np.concatenate(data)]
+    for j in range(order):
+        nxt = sum(math.comb(j, i) * derivs[i] @ want[j - i] for i in range(j + 1))
+        want.append(nxt + forcing[j])
+    for got, ref in zip(lift.coefficients, want, strict=True):
+        assert _rel(got, ref) <= 1e-13
 
 
 def test_taylor_lift_zeroth_coefficient_is_the_data():
@@ -434,17 +465,12 @@ def test_regularize_sweep_is_stable():
 # assembler internals
 
 def _direct_generator(model, lot, t, grid):
-    """M(t) = A <D> + B from Weyl quantization at t itself, laid out by hand."""
-    N = grid.N
-    D = np.diag(grid.jp_values)
+    """Dense M(t) = A <D> + B from A_entries and Weyl quantization at t itself."""
     op = lambda expr: op_weyl(expr, t, grid)
-    gen = np.zeros((3 * N, 3 * N), dtype=complex)
-    gen[:N, :N] = op(lot.b10)
-    gen[:N, N : 2 * N] = op(model.a_expr) @ D + op(lot.b11)
-    gen[:N, 2 * N :] = op(model.b) @ D + op(lot.b12)
-    gen[N : 2 * N, :N] = D
-    gen[2 * N :, N : 2 * N] = D
-    return gen
+    jp = grid.jp_values
+    rows = A_entries(op(model.a_expr) * jp, op(model.b) * jp, jp)
+    rows[0] = [op(lot.b10), rows[0][1] + op(lot.b11), rows[0][2] + op(lot.b12)]
+    return BlockOp.from_blocks(rows, grid).matrix
 
 
 def test_assembler_matches_direct_quantization():
@@ -456,7 +482,7 @@ def test_assembler_matches_direct_quantization():
     asm = Assembler(model, lot, grid)
     for t in (0.07, 0.4, 0.9):
         direct = _direct_generator(model, lot, t, grid)
-        cached = asm.generator(t)
+        cached = asm.apply(t, np.eye(3 * grid.N))
         assert np.allclose(cached, direct, atol=1e-11 * operator_norm(direct))
         # the energy matrix and the sharp-bound layer quantize S independently
         H_S = quantize._fp_pieces(model, t, grid)[0]
@@ -480,7 +506,7 @@ def test_apply_matches_the_dense_generator(name, lot_name):
         grid = FourierGrid(K, model.period)
         asm = Assembler(model, LOTS[lot_name], grid)
         for t in (0.1, 0.7):
-            gen = asm.generator(t)
+            gen = _direct_generator(model, LOTS[lot_name], t, grid)
             for shape in ((3 * grid.N,), (3 * grid.N, 4)):
                 V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 assert _rel(asm.apply(t, V), gen @ V) <= 1e-13
@@ -521,6 +547,10 @@ def test_non_polynomial_symbols_fall_back_to_the_dense_path():
         assert _rel(asm.energy_matrix(t), H_S) <= 1e-13
         u = V[:, 0]
         assert asm.energy_form(t, u) == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
+        assert _rel(asm.row(t), direct[: grid.N]) <= 1e-13
+    # an RK4 step asks for three times; the rows of the last two are kept
+    _rk4(V, 0.2, 0.1, asm.apply)
+    assert sorted(asm._rows) == [0.2 + 0.05, 0.2 + 0.1]
 
 
 def test_taylor_stacks_cover_polynomials_up_to_the_cap():
@@ -533,7 +563,7 @@ def test_polynomial_models_evolve_without_dense_matrices(monkeypatch):
     def dense(*args):
         raise AssertionError("dense 3N x 3N matrix built on the RK4 path")
 
-    monkeypatch.setattr(Assembler, "generator", dense)
+    monkeypatch.setattr(Assembler, "_quantized_row", dense)
     monkeypatch.setattr(Assembler, "energy_matrix", dense)
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(17, amplitude=0.4)
@@ -544,6 +574,25 @@ def test_polynomial_models_evolve_without_dense_matrices(monkeypatch):
                       F=lambda t: F)
     assert np.all(np.isfinite(trace.E)) and np.all(trace.Fterm > 0)
     assert np.isfinite(loss_probe(model, lot, grid, EvolveConfig(T=0.5), (2, 4)).exponent)
+
+
+def test_tiny_steps_are_counted_without_being_built():
+    # 9.9e8 steps: a list of them would take tens of GB
+    asm = Assembler(gallery("g_E"), None, FourierGrid(4))
+    steps = _fixed_steps(EvolveConfig(dt=1e-9), asm)
+    assert steps.n == math.ceil(0.99 / 1e-9 - 1e-12) > 9e8
+    assert next(iter(steps)) == (1e-2, 1e-9)
+
+
+def test_step_points_are_those_of_the_step_list():
+    # t_i = eps + i h exactly as np.arange(n) gives it, the clipped last step included
+    grid = FourierGrid(6)
+    asm = Assembler(gallery("g_E"), None, grid)
+    for cfg in (EvolveConfig(), EvolveConfig(dt=0.07, T=0.9), EvolveConfig(dt_scale=0.125)):
+        h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
+        n = max(1, math.ceil((cfg.T - cfg.eps_start) / h - 1e-12))
+        want = [(float(t), float(min(h, cfg.T - t))) for t in cfg.eps_start + h * np.arange(n)]
+        assert list(_fixed_steps(cfg, asm)) == want
 
 
 def test_integration_past_the_model_horizon_is_rejected():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplex.acceptance import GALLERY
 from triplex.models import gallery
@@ -100,7 +102,36 @@ def test_operator_norm_matches_svd():
     rng = np.random.default_rng(1)
     for n in (5, 17):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-6)
+        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-10)
+
+
+def _sample_matrix(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "square":
+        return draw(n, n)
+    if kind == "wide":  # the N x 3N shape of a generator's first block row
+        return draw(n, 3 * n)
+    if kind == "rank1":
+        return np.outer(draw(n), draw(2 * n).conj())
+    if kind == "scalar":
+        return draw(1, 1)
+    return np.zeros((n, 3 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["square", "wide", "rank1", "scalar", "zero"]),
+       n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-8, 1.0, 1e8]))
+def test_operator_norm_is_the_largest_singular_value(kind, n, seed, scale):
+    m = scale * _sample_matrix(kind, n, seed)
+    want = np.linalg.norm(m, 2)
+    got = operator_norm(m)
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-10)
+    assert operator_norm(m.real) == pytest.approx(np.linalg.norm(m.real, 2), rel=1e-10, abs=0.0)
 
 
 def test_block_weyl_layout():
