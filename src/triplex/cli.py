@@ -120,23 +120,25 @@ def _lot_for(args, lot_from_file):
     return lot_from_file
 
 
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _emit(args, payload, artifacts=()):
-    """Print the JSON summary; write JSON/CSV/SVG files under --out."""
+    """Print the JSON summary; under --out write it and the artifacts.
+
+    Each artifact is (fname, write), and write(path) renders and writes the
+    file, so nothing is rendered when there is no --out.
+    """
     text = reporting.json_text(payload)
     sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
         os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, f"{args.command}.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        for fname, content in artifacts:
-            path = os.path.join(out, fname)
-            if callable(content):
-                content(path)
-            else:
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(content)
+        _write_text(os.path.join(out, f"{args.command}.json"), text)
+        for fname, write in artifacts:
+            write(os.path.join(out, fname))
 
 
 def _seeded_state(grid, seed):
@@ -187,7 +189,7 @@ def _cmd_analyze(args):
 
     _emit(args, payload,
           [("analyze_sweep.csv",
-            reporting.csv_text(("t", "x", "xi", "a", "b", "delta"), rows()))])
+            lambda path: reporting.write_csv(path, ("t", "x", "xi", "a", "b", "delta"), rows()))])
     return PASS if hyperbolic else VERDICT_FAIL
 
 
@@ -199,13 +201,15 @@ def _cmd_conditions(args):
     if args.which in ("H", "E"):
         rep = check_condition(model, args.which, grid, delta=args.delta)
         payload = rep.to_json_dict()
-        t, alpha, a, b, _ = grid_fields(model, grid)
-        dd = 4.0 * a**3 - 27.0 * b**2
-        w = t**2 * (t + alpha) if args.which == "H" else t * (t + alpha) ** 2
-        curve = np.min(dd / w, axis=(1, 2))
-        art = [("conditions_sweep.csv",
-                reporting.csv_text(("t", "min_ratio"),
-                                   zip(grid.t_vals, curve)))]
+
+        def sweep(path):
+            t, alpha, a, b, _ = grid_fields(model, grid)
+            dd = 4.0 * a**3 - 27.0 * b**2
+            w = t**2 * (t + alpha) if args.which == "H" else t * (t + alpha) ** 2
+            curve = np.min(dd / w, axis=(1, 2))
+            reporting.write_csv(path, ("t", "min_ratio"), zip(grid.t_vals, curve))
+
+        art = [("conditions_sweep.csv", sweep)]
         ok = rep.holds
     elif args.which == "beta1":
         rep = check_beta1_bound(model, grid)
@@ -237,10 +241,6 @@ def _cmd_symmetrizer(args):
     grid = default_condition_grid(model, nt=16, nx=16, nxi=5)
     t, alpha, a, b, _ = grid_fields(model, grid)
     asym, det_dev = identity_defects(t, alpha, a, b)
-    S = matrix_S(a, b)
-    mineig = np.linalg.eigvalsh(S)[..., 0]
-
-    local = np.maximum(pointwise_delta(S, a, t), 0.0)
     sym = lower_bound_delta(model, grid)
     ok = asym <= 1e-13 and det_dev <= 1e-12
     payload = {
@@ -252,17 +252,19 @@ def _cmd_symmetrizer(args):
         "feasible_at_one": sym.feasible_at_one,
     }
 
-    def rows():
-        for i in range(len(grid.t_vals)):
-            for j in range(len(grid.x_vals)):
-                for k in range(len(grid.xi_vals)):
-                    yield (grid.t_vals[i], grid.x_vals[j], grid.xi_vals[k],
-                           a[i, j, k], b[i, j, k], mineig[i, j, k], local[i, j, k])
+    def points(path):
+        S = matrix_S(a, b)
+        mineig = np.linalg.eigvalsh(S)[..., 0]
+        local = np.maximum(pointwise_delta(S, a, t), 0.0)
+        rows = ((grid.t_vals[i], grid.x_vals[j], grid.xi_vals[k],
+                 a[i, j, k], b[i, j, k], mineig[i, j, k], local[i, j, k])
+                for i in range(len(grid.t_vals))
+                for j in range(len(grid.x_vals))
+                for k in range(len(grid.xi_vals)))
+        reporting.write_csv(
+            path, ("t", "x", "xi", "a", "b", "mineig_S", "delta_sym_local"), rows)
 
-    _emit(args, payload,
-          [("symmetrizer_points.csv",
-            reporting.csv_text(
-                ("t", "x", "xi", "a", "b", "mineig_S", "delta_sym_local"), rows()))])
+    _emit(args, payload, [("symmetrizer_points.csv", points)])
     return PASS if ok else VERDICT_FAIL
 
 
@@ -292,7 +294,7 @@ def _cmd_quantize(args):
         "weighted_residual_by_K": {str(k): v for k, v in resid.items()},
     }
     _emit(args, payload,
-          [("weyl_a.csv", reporting.operator_csv_text(op_a))])
+          [("weyl_a.csv", lambda path: _write_text(path, reporting.operator_csv_text(op_a)))])
     return PASS if ok else VERDICT_FAIL
 
 
@@ -301,8 +303,12 @@ def _cmd_fpcheck(args):
     _check_nt(args.nt)
     _check_time(model, args.t0, "--t0")
     _check_time(model, args.t1, "--t1")
+    start = args.t0 if args.t0 > 0 else 1e-2
+    if args.t1 < start:
+        raise ValueError(f"--t1 {args.t1:g} lies below the start {start:g} of the geometric "
+                         f"t grid (--t0, or 1e-2 when --t0 is 0)")
     grid = FourierGrid(args.grid_k, model.period)
-    t_values = np.geomspace(args.t0 if args.t0 > 0 else 1e-2, args.t1, args.nt)
+    t_values = np.geomspace(start, args.t1, args.nt)
     if args.delta is not None and args.c is not None:
         results = [fp_check(model, t, grid, args.delta, args.c) for t in t_values]
         worst = min(r.min_eig / r.scale for r in results)
@@ -361,7 +367,7 @@ def _cmd_evolve(args):
     else:
         trace, _ = evolve(model, lot, U0, cfg, grid)
     verdicts = {"aborted": trace.aborted}
-    artifacts = [("trace.csv", reporting.energy_csv_text(trace))]
+    artifacts = [("trace.csv", lambda path: _write_text(path, reporting.energy_csv_text(trace)))]
     ok = not trace.aborted
     if trace.aborted:
         verdicts["verdict"] = "unbounded"
@@ -374,8 +380,8 @@ def _cmd_evolve(args):
             "margins_passed": margins.passed,
         })
         ok = margins.passed
-        artifacts.append(("energy.svg", lambda p: emit_plot(trace, p) and None))
-        artifacts.append(("margins.svg", lambda p: emit_plot(margins, p) and None))
+        artifacts.append(("energy.svg", lambda path: emit_plot(trace, path)))
+        artifacts.append(("margins.svg", lambda path: emit_plot(margins, path)))
     payload = {
         "model": model.name,
         "source": args.model,
@@ -414,10 +420,10 @@ def _cmd_loss(args):
     }
     jp = np.sqrt(1.0 + (np.array(k_list, dtype=float) * grid.base_freq) ** 2)
     artifacts = [("loss.csv",
-                  reporting.csv_text(("k", "jp", "growth"),
-                                     zip(rep.modes, jp, rep.growth)))]
+                  lambda path: reporting.write_csv(path, ("k", "jp", "growth"),
+                                                   zip(rep.modes, jp, rep.growth)))]
     if ok:
-        artifacts.append(("loss.svg", lambda p: emit_plot(rep, p) and None))
+        artifacts.append(("loss.svg", lambda path: emit_plot(rep, path)))
     _emit(args, payload, artifacts)
     return PASS if ok else VERDICT_FAIL
 
@@ -466,12 +472,13 @@ def _cmd_regularize(args):
         "passed": rep.passed,
     }
     artifacts = [
-        ("regularize.csv", reporting.csv_text(
+        ("regularize.csv", lambda path: reporting.write_csv(
+            path,
             ("eps", "delta_best_E", "delta_sym", "fp_delta", "fp_C",
              "n_star", "min_margin"),
             ((r.eps, r.delta_best_E, r.delta_sym, r.fp_delta, r.fp_C,
               r.n_star, r.min_margin) for r in rep.rows))),
-        ("regularize.svg", lambda p: emit_plot(rep, p) and None),
+        ("regularize.svg", lambda path: emit_plot(rep, path)),
     ]
     _emit(args, payload, artifacts)
     return PASS if rep.passed else VERDICT_FAIL

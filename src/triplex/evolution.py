@@ -30,8 +30,9 @@ import numpy as np
 from .cubic import Grid3, check_condition, default_condition_grid
 from .models import HyperbolicModel, LowerOrderTerms, ModelError, build_model
 from .symbols import Const, X, call, differentiate
-from .quantize import BlockOp, FourierGrid, is_zero, op_weyl, operator_norm, top_eigenvalue
-from .symmetrizer import A_entries, S_entries
+from .quantize import (FourierGrid, TaylorOps, _horner, _taylor_stack, op_weyl, operator_norm,
+                       top_eigenvalue)
+from .symmetrizer import A_entries
 
 
 @dataclass
@@ -77,124 +78,35 @@ def _shifts(shift, V):
     return shift.reshape((-1,) + (1,) * (V.ndim - 1)) * V[: len(shift)]
 
 
-def _t_taylor(expr, cap=6):
-    """Taylor coefficient expressions in t, or None when not a polynomial of degree <= cap."""
-    terms = [expr]
-    while not is_zero(terms[-1]):
-        if len(terms) > cap + 1:
-            return None
-        terms.append(differentiate(terms[-1], "t", 1))
-    return terms[:-1] or terms
-
-
-def _horner(t, Y, n):
-    """sum_i t^i Y_i for Y = [Y_0; ...; Y_p] stacked in blocks of n rows."""
-    acc = Y[-n:]
-    for i in range(Y.shape[0] // n - 2, -1, -1):
-        acc = acc * t + Y[i * n : (i + 1) * n]
-    return acc
-
-
-def _horner_with_rate(t, Y, n):
-    """(sum_i t^i Y_i, its t-derivative), the pair Horner sum over the same stack."""
-    acc, rate = Y[-n:], 0.0
-    for i in range(Y.shape[0] // n - 2, -1, -1):
-        rate = rate * t + acc
-        acc = acc * t + Y[i * n : (i + 1) * n]
-    return acc, rate
-
-
-def _taylor_stack(coeffs):
-    """Read-only [C_0; ...; C_p] of equal-shape Taylor coefficients."""
-    out = np.concatenate(coeffs)
-    out.flags.writeable = False
-    return out
-
-
 class Assembler:
     """Applies the generator M(t) and the energy form without per-step matrices.
 
-    Symbols polynomial in t (the whole gallery) quantize once, on first use,
-    into Taylor stacks [C_0; ...; C_p] with Op(t) = sum_i t^i C_i, so applying
-    an operator is one matmul against the stack and a Horner sum in t;
+    The operators come from the Taylor stacks of TaylorOps, quantized once,
+    on first use: for symbols polynomial in t (the whole gallery) applying
+    an operator is one matmul against a stack and a Horner sum in t;
     anything else falls back to quantizing at each requested time.
     """
 
     def __init__(self, model: HyperbolicModel, lot: LowerOrderTerms, grid: FourierGrid):
         self.model = model
-        self.lot = lot or LowerOrderTerms.zero()
         self.grid = grid
-        self.a_expr = model.a_expr
-        self.a2_expr = self.a_expr * self.a_expr
+        self.ops = TaylorOps(model, grid, lot or LowerOrderTerms.zero())
         self._jp = grid.jp_values
         self._jp_inv2_block = np.concatenate([self._jp**-2.0] * 3)
         self._shift = np.concatenate([self._jp] * 2)
         self._rows = {}
-        self._bases = {}
-
-    def _symbols(self):
-        return {
-            "a": self.a_expr,
-            "b": self.model.b,
-            "a2": self.a2_expr,
-            "b10": self.lot.b10,
-            "b11": self.lot.b11,
-            "b12": self.lot.b12,
-        }
-
-    def _basis(self, name):
-        """Taylor stack of Op(symbol), quantized on first use; None when not polynomial in t."""
-        if name not in self._bases:
-            terms = _t_taylor(self._symbols()[name])
-            self._bases[name] = None if terms is None else _taylor_stack(
-                [op_weyl(d, 0.0, self.grid) / math.factorial(i) for i, d in enumerate(terms)])
-        return self._bases[name]
 
     def cfl_dt(self, cfl=0.5):
         max_a = self.model.report.max_a if self.model.report else 1.0
         return cfl / ((math.sqrt(max(max_a, 0.0)) + 1.0) * float(np.max(self._jp)))
 
-    def _op(self, name, t, V=None):
-        """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix."""
-        basis = self._basis(name)
-        if basis is None:
-            op = op_weyl(self._symbols()[name], t, self.grid)
-            return op if V is None else op @ V
-        return _horner(t, basis if V is None else basis @ V, self.grid.N)
-
-    def _coefficients(self, names):
-        """Per degree i, the t^i coefficients of the named operators (zero past
-        a symbol's own degree), or None when one of them is not polynomial."""
-        bases = [self._basis(name) for name in names]
-        if any(basis is None for basis in bases):
-            return None
-        N = self.grid.N
-        zero = np.zeros((N, N))
-        terms = max(len(basis) for basis in bases) // N
-        return [[basis[i * N : (i + 1) * N] if (i + 1) * N <= len(basis) else zero
-                 for basis in bases] for i in range(terms)]
-
     @functools.cached_property
     def _row_stack(self):
         """Taylor stack of M(t)'s first block row; None when a symbol is not polynomial in t."""
-        coeffs = self._coefficients(_ROW_SYMBOLS)
+        coeffs = self.ops.coefficients(_ROW_SYMBOLS)
         if coeffs is None:
             return None
         return _taylor_stack([_first_row(self._jp, *ops) for ops in coeffs])
-
-    @functools.cached_property
-    def _energy_stack(self):
-        """Taylor stack of Herm Op(S)(t), built on first use; None when not polynomial."""
-        coeffs = self._coefficients(("a", "b", "a2"))
-        if coeffs is None:
-            return None
-        const = self._herm_S(0, 0, 0)  # S is affine in (a, b, a2)
-        return _taylor_stack([self._herm_S(*entries) - (const if i else 0)
-                              for i, entries in enumerate(coeffs)])
-
-    def _herm_S(self, a, b, a2):
-        S = BlockOp.from_blocks(S_entries(a, b, a2), self.grid).matrix
-        return 0.5 * (S + S.conj().T)
 
     def row(self, t):
         """M(t)'s first block row R(t), N x 3N; the rest of M are the <D> shifts."""
@@ -211,7 +123,7 @@ class Assembler:
         if key not in self._rows:
             if len(self._rows) == 2:
                 self._rows.pop(next(iter(self._rows)))
-            self._rows[key] = _first_row(self._jp, *(self._op(name, t) for name in _ROW_SYMBOLS))
+            self._rows[key] = _first_row(self._jp, *(self.ops.op(name, t) for name in _ROW_SYMBOLS))
         return self._rows[key]
 
     def apply(self, t, V):
@@ -220,36 +132,13 @@ class Assembler:
         RV = self._quantized_row(t) @ V if W is None else _horner(t, W @ V, self.grid.N)
         return np.concatenate([RV, _shifts(self._shift, V)])
 
-    def energy_matrix(self, t):
-        """Dense Hermitian part of Op(S)(t)."""
-        H = self._energy_stack
-        if H is not None:
-            return _horner(t, H, 3 * self.grid.N)
-        return self._herm_S(*(self._op(name, t) for name in ("a", "b", "a2")))
-
-    @functools.cached_property
-    def _rate_symbols(self):
-        return [differentiate(self._symbols()[name], "t", 1) for name in ("a", "b", "a2")]
-
     def _stilde(self, t, V, lam, rate=False):
         """(Stilde V, Stilde' V or None) for V of shape (3N,) or (3N, nb).
 
-        Stilde = Herm Op(S)(t) + lam t^-1 blockdiag(jp^-2).  Stilde' takes
-        d/dt Herm Op(S) from the Taylor stack's Horner sum; on the fallback
-        path it quantizes the t-derivatives of (a, b, a2) at t, S being
-        affine in them.
+        Stilde = Herm Op(S)(t) + lam t^-1 blockdiag(jp^-2); Herm Op(S) and
+        its t-derivative come from TaylorOps.
         """
-        H = self._energy_stack
-        dSV = None
-        if H is None:
-            SV = self.energy_matrix(t) @ V
-            if rate:
-                ops = [op_weyl(expr, t, self.grid) for expr in self._rate_symbols]
-                dSV = (self._herm_S(*ops) - self._herm_S(0, 0, 0)) @ V
-        elif rate:
-            SV, dSV = _horner_with_rate(t, H @ V, 3 * self.grid.N)
-        else:
-            SV = _horner(t, H @ V, 3 * self.grid.N)
+        SV, dSV = self.ops.herm_S_rate(t, V) if rate else (self.ops.herm_S(t, V), None)
         if lam != 0.0 and t > 0:
             PV = (lam / t) * self._jp_inv2_block.reshape((-1,) + (1,) * (V.ndim - 1)) * V
             SV = SV + PV
@@ -390,7 +279,7 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, assembler=None):
         u3 = U[2 * N :]
         rows.append((t, Q, dQ, 0.0 if F is None else asm.energy_form(t, F(t), cfg.lam),
                      np.vdot(U[:N], U[:N]).real, np.vdot(U[N : 2 * N], U[N : 2 * N]).real,
-                     np.vdot(u3, asm._op("a", t, u3)).real, np.linalg.norm(U)))
+                     np.vdot(u3, asm.ops.op("a", t, u3)).real, np.linalg.norm(U)))
 
     aborted = False
     U = np.array(U0, dtype=complex)
@@ -554,7 +443,7 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
     jp_block = np.concatenate([grid.jp_values] * 3)
     lam_need = 0.0
     for t in np.geomspace(eps_start, T, 7):
-        H = asm.energy_matrix(t)
+        H = asm.ops.herm_S(t)
         sym = jp_block[:, None] * H * jp_block[None, :]
         lam_need = max(lam_need, 2.0 * t * max(0.0, -float(np.linalg.eigvalsh(sym)[0])))
     cfg.lam = _next_pow2(2.0 * lam_need) if lam_need > 0 else 1.0

@@ -10,6 +10,12 @@ half-integer midpoint makes real symbols exactly Hermitian.  Coefficients
 are computed by trapezoid quadrature on 2N nodes so that every needed
 difference frequency |k - k'| <= 2K is resolved without aliasing.
 
+TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
+Op(t) = sum_i t^i C_i, and builds Herm Op(S) from them.  The evolution
+layer's generator and energy form and the sharp-bound layer (fp_search,
+fp_check) take their t-dependent operators from it.  fp_search certifies
+most (t, delta) with a Cholesky factorization instead of an eigensolve.
+
 friedrichs_part builds the symmetrized positive part
 
     p_F(eta, y, xi) = int F(eta, zeta) p(y, zeta) F(xi, zeta) dzeta,
@@ -35,14 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbols import Expr, Const
-from .symmetrizer import J_entries, S_symbols
+from .symbols import Expr, Const, differentiate
+from .symmetrizer import J_entries, S_entries
 
 __all__ = [
     "FourierGrid",
     "BlockOp",
     "op_weyl",
     "block_weyl",
+    "TaylorOps",
     "Bump",
     "default_bump",
     "friedrichs_part",
@@ -165,6 +172,138 @@ def block_weyl(entries, t, grid):
 
 
 # ---------------------------------------------------------------------------
+# Taylor stacks in t
+
+def is_zero(expr):
+    """True for a symbol that is literally the constant 0 (its block is skipped)."""
+    return isinstance(expr, Const) and expr.value == 0.0
+
+
+def _t_taylor(expr, cap=6):
+    """Taylor coefficient expressions in t, or None when not a polynomial of degree <= cap."""
+    terms = [expr]
+    while not is_zero(terms[-1]):
+        if len(terms) > cap + 1:
+            return None
+        terms.append(differentiate(terms[-1], "t", 1))
+    return terms[:-1] or terms
+
+
+def _horner(t, Y, n):
+    """sum_i t^i Y_i for Y = [Y_0; ...; Y_p] stacked in blocks of n rows."""
+    acc = Y[-n:]
+    for i in range(Y.shape[0] // n - 2, -1, -1):
+        acc = acc * t + Y[i * n : (i + 1) * n]
+    return acc
+
+
+def _horner_with_rate(t, Y, n):
+    """(sum_i t^i Y_i, its t-derivative), the pair Horner sum over the same stack."""
+    acc, rate = Y[-n:], 0.0
+    for i in range(Y.shape[0] // n - 2, -1, -1):
+        rate = rate * t + acc
+        acc = acc * t + Y[i * n : (i + 1) * n]
+    return acc, rate
+
+
+def _taylor_stack(coeffs):
+    """Read-only [C_0; ...; C_p] of equal-shape Taylor coefficients."""
+    out = np.concatenate(coeffs)
+    out.flags.writeable = False
+    return out
+
+
+_S_SYMBOLS = ("a", "b", "a2")
+
+
+class TaylorOps:
+    """Op(symbol)(t) of a model's symbols, and Herm Op(S)(t), from Taylor stacks in t.
+
+    The symbols are a, b and a2 = a^2 of the model, plus b10, b11 and b12
+    of lot when given.  A symbol polynomial in t (the whole gallery)
+    quantizes once, on first use, into the stack [C_0; ...; C_p] with
+    Op(t) = sum_i t^i C_i, so Op(t) or Op(t) @ V is one matmul against the
+    stack and a Horner sum in t.  S is affine in (a, b, a2), so Herm Op(S)
+    gets a stack of its own.  A symbol that is not polynomial in t, or
+    whose degree exceeds 6, falls back to op_weyl at each requested time.
+    """
+
+    def __init__(self, model, grid, lot=None):
+        self.grid = grid
+        a = model.a_expr
+        self.symbols = {"a": a, "b": model.b, "a2": a * a}
+        if lot is not None:
+            self.symbols.update(b10=lot.b10, b11=lot.b11, b12=lot.b12)
+        self._stacks = {}
+
+    def stack(self, name):
+        """Taylor stack of Op(symbol), quantized on first use; None when not polynomial in t."""
+        if name not in self._stacks:
+            terms = _t_taylor(self.symbols[name])
+            self._stacks[name] = None if terms is None else _taylor_stack(
+                [op_weyl(d, 0.0, self.grid) / math.factorial(i) for i, d in enumerate(terms)])
+        return self._stacks[name]
+
+    def op(self, name, t, V=None):
+        """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix."""
+        stack = self.stack(name)
+        if stack is None:
+            op = op_weyl(self.symbols[name], t, self.grid)
+            return op if V is None else op @ V
+        return _horner(t, stack if V is None else stack @ V, self.grid.N)
+
+    def coefficients(self, names):
+        """Per degree i, the t^i coefficients of the named operators (zero past
+        a symbol's own degree), or None when one of them is not polynomial."""
+        stacks = [self.stack(name) for name in names]
+        if any(stack is None for stack in stacks):
+            return None
+        N = self.grid.N
+        zero = np.zeros((N, N))
+        terms = max(len(stack) for stack in stacks) // N
+        return [[stack[i * N : (i + 1) * N] if (i + 1) * N <= len(stack) else zero
+                 for stack in stacks] for i in range(terms)]
+
+    def _herm_S(self, a, b, a2):
+        S = BlockOp.from_blocks(S_entries(a, b, a2), self.grid).matrix
+        return 0.5 * (S + S.conj().T)
+
+    @functools.cached_property
+    def S_stack(self):
+        """Taylor stack of Herm Op(S)(t), built on first use; None when not polynomial."""
+        coeffs = self.coefficients(_S_SYMBOLS)
+        if coeffs is None:
+            return None
+        const = self._herm_S(0, 0, 0)
+        return _taylor_stack([self._herm_S(*entries) - (const if i else 0)
+                              for i, entries in enumerate(coeffs)])
+
+    def herm_S(self, t, V=None):
+        """Herm Op(S)(t), or Herm Op(S)(t) @ V without forming the matrix."""
+        H = self.S_stack
+        if H is None:
+            S = self._herm_S(*(self.op(name, t) for name in _S_SYMBOLS))
+            return S if V is None else S @ V
+        return _horner(t, H if V is None else H @ V, 3 * self.grid.N)
+
+    @functools.cached_property
+    def _rate_symbols(self):
+        return [differentiate(self.symbols[name], "t", 1) for name in _S_SYMBOLS]
+
+    def herm_S_rate(self, t, V):
+        """(Herm Op(S)(t) @ V, d/dt Herm Op(S)(t) @ V).
+
+        The rate is the Horner sum's t-derivative; on the fallback path it
+        quantizes the t-derivatives of (a, b, a2) at t.
+        """
+        H = self.S_stack
+        if H is None:
+            ops = [op_weyl(expr, t, self.grid) for expr in self._rate_symbols]
+            return self.herm_S(t, V), (self._herm_S(*ops) - self._herm_S(0, 0, 0)) @ V
+        return _horner_with_rate(t, H @ V, 3 * self.grid.N)
+
+
+# ---------------------------------------------------------------------------
 # Friedrichs part
 
 def _bump_raw(sigma):
@@ -259,11 +398,6 @@ def _window_bands(grid, bump, points_per_unit):
         weights = _window(bump, zeta[None, nodes], freqs[cols, None], jp[cols, None]) * wf_r
         bands.append((r, nodes) + _read_only(cols, (r - cols) % grid.N, weights))
     return zeta, tuple(bands)
-
-
-def is_zero(expr):
-    """True for a symbol that is literally the constant 0 (its block is skipped)."""
-    return isinstance(expr, Const) and expr.value == 0.0
 
 
 def _friedrichs_matrix(entries, t, grid, bump, points_per_unit):
@@ -393,22 +527,19 @@ class FpCheckResult:
     feasible: bool
 
 
-def _fp_pieces(model, t, grid):
-    """Herm(Op(S)), the J block matrix with Herm(Op(a)), and P = blockdiag(jp^-2)."""
-    S = block_weyl(S_symbols(model), t, grid).matrix
-    H_S = 0.5 * (S + S.conj().T)
-    op_a = op_weyl(model.a_expr, t, grid)
-    M_J = BlockOp.from_blocks(J_entries(0.5 * (op_a + op_a.conj().T)), grid).matrix
-    P = np.diag(np.tile(grid.jp_values**-2.0, 3))
-    return H_S, M_J, P
+def _fp_pieces(ops, t):
+    """Herm(Op(S)), the J block matrix with Herm(Op(a)), and P = blockdiag(jp^-2), at t."""
+    op_a = ops.op("a", t)
+    M_J = BlockOp.from_blocks(J_entries(0.5 * (op_a + op_a.conj().T)), ops.grid).matrix
+    P = np.diag(np.tile(ops.grid.jp_values**-2.0, 3))
+    return ops.herm_S(t), M_J, P
 
 
 def fp_check(model, t, grid, delta, C, tol=1e-8):
     """Sharp lower bound test: Herm(Op(S)) - delta t J_op + C t^-1 jp^-2 >= -tol scale."""
     if not t > 0:
         raise ValueError("fp_check needs t > 0")
-    H_S, M_J, P = _fp_pieces(model, t, grid)
-    return _fp_eval(H_S, M_J, P, t, delta, C, tol)
+    return _fp_eval(*_fp_pieces(TaylorOps(model, grid), t), t, delta, C, tol)
 
 
 def _fp_eval(H_S, M_J, P, t, delta, C, tol):
@@ -418,6 +549,15 @@ def _fp_eval(H_S, M_J, P, t, delta, C, tol):
     min_eig = float(eigs[0])
     return FpCheckResult(delta=float(delta), C=float(C), min_eig=min_eig, scale=scale,
                          feasible=bool(min_eig >= -tol * scale))
+
+
+def _positive_definite(A):
+    """True when the Cholesky factorization of the Hermitian A succeeds (A > 0)."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -437,11 +577,18 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
 
     Closed form: P = diag(jp^-2) is positive, so by congruence H(C) = H_S -
     delta t M_J + (C/t) P >= 0 exactly when C >= C* = -t lambda_min(G),
-    G = P^(-1/2) (H_S - delta t M_J) P^(-1/2).  One eigensolve per (t, delta)
+    G = P^(-1/2) (H_S - delta t M_J) P^(-1/2).  Feasibility is monotone in C
+    (P >= 0), so a delta's row stays feasible from its smallest grid value
+    C_min on, and a (t, delta) can only change the row when C* >= C_min.
+    A Cholesky factorization of G + (C_min/t) I certifies C* < C_min
+    without an eigensolve (Golub & Van Loan §4.2); a row with nothing
+    feasible left needs neither.  Otherwise one eigensolve gives C*, which
     settles every grid C >= C*.  Smaller grid values can still pass within
-    the -tol scale slack; they get fp_check's exact test, largest first, and
-    as feasibility is monotone in C (P >= 0) the scan stops at the first
-    infeasible one.
+    the -tol scale slack; they get fp_check's exact test, largest first,
+    and the scan stops at the first infeasible one.
+
+    H_S and Op(a) come from Taylor stacks in t quantized once per call
+    (TaylorOps).
     """
     if deltas is None:
         deltas = [2.0**p for p in range(-7, 1)]
@@ -452,12 +599,21 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
     ok = np.ones((len(deltas), len(Cs)), dtype=bool)
     c_grid = np.asarray(Cs, dtype=float)
     descending = np.argsort(-c_grid, kind="stable")
+    ops = TaylorOps(model, grid)
+    diag = np.diag_indices(3 * grid.N)
     for t in t_values:
-        H_S, M_J, P = _fp_pieces(model, t, grid)
+        H_S, M_J, P = _fp_pieces(ops, t)
         r = np.diag(P).real ** -0.5
         rr = np.outer(r, r)
         for i, d in enumerate(deltas):
-            lam = float(np.linalg.eigvalsh(rr * (H_S - d * t * M_J))[0])
+            if not ok[i].any():
+                continue
+            G = rr * (H_S - d * t * M_J)
+            shifted = G.copy()
+            shifted[diag] += np.min(c_grid[ok[i]]) / t
+            if _positive_definite(shifted):
+                continue  # C* < C_min: no grid value of this row changes at t
+            lam = float(np.linalg.eigvalsh(G)[0])
             for j in descending[(c_grid[descending] < -t * lam) & ok[i, descending]]:
                 if not _fp_eval(H_S, M_J, P, t, d, Cs[j], tol).feasible:
                     ok[i, c_grid <= c_grid[j]] = False

@@ -1,13 +1,18 @@
 """Command-line front end: exit codes, JSON output, artifact determinism."""
 
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from triplex import evolution
+from triplex import evolution, reporting
 from triplex.cli import run
+from triplex.cubic import Grid3
+from triplex.models import gallery
+from triplex.symmetrizer import grid_fields
 
 MODEL_TEXT = """
 alpha = (1 - cos(x))^2
@@ -30,6 +35,33 @@ def test_analyze_reports_hyperbolic_sweep(capsys, tmp_path):
     assert (out / "analyze.json").exists()
     header = (out / "analyze_sweep.csv").read_text().splitlines()[0]
     assert header == "t,x,xi,a,b,delta"
+
+
+def test_analyze_renders_its_csv_only_under_out(capsys, tmp_path, monkeypatch):
+    real = reporting.csv_text
+
+    def refuse(*args):
+        raise AssertionError("CSV rendered without --out")
+
+    monkeypatch.setattr(reporting, "csv_text", refuse)
+    assert run(["analyze", "--model", "g_E", "--nt", "3"]) == 0
+    payload = _json_out(capsys)
+    monkeypatch.setattr(reporting, "csv_text", real)
+    out = tmp_path / "an"
+    assert run(["analyze", "--model", "g_E", "--nt", "3", "--out", str(out)]) == 0
+    assert _json_out(capsys) == payload
+    # the layout the CSV has always had: one row per (t, x, xi), t slowest
+    model = gallery("g_E")
+    grid = Grid3(np.linspace(1e-3, 1.0, 3), np.linspace(0.0, model.period, 64, endpoint=False),
+                 np.logspace(0.0, math.log10(64.0), 9))
+    _, _, a, b, _ = grid_fields(model, grid)
+    delta = 4.0 * a**3 - 27.0 * b**2
+    rows = ((t, x, xi, a[i, j, k], b[i, j, k], delta[i, j, k])
+            for i, t in enumerate(grid.t_vals) for j, x in enumerate(grid.x_vals)
+            for k, xi in enumerate(grid.xi_vals))
+    want = real(("t", "x", "xi", "a", "b", "delta"), rows).encode()
+    got = (out / "analyze_sweep.csv").read_bytes()
+    assert hashlib.sha256(got).hexdigest() == hashlib.sha256(want).hexdigest()
 
 
 def test_conditions_pass_and_fail_exit_codes(capsys):
@@ -91,6 +123,21 @@ def test_fpcheck_empty_t_grid_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--nt" in captured.err
+
+
+def test_fpcheck_t1_below_the_grid_start_is_a_usage_error(capsys):
+    # the geometric t grid starts at --t0, or at 1e-2 when --t0 is 0; a grid
+    # from there down to --t1 would check times outside [--t0, --t1]
+    for t0, t1 in (("0", "0"), ("0", "0.005"), ("0.5", "0.25")):
+        for extra in ([], ["--delta", "1.0", "--c", "512"]):
+            argv = ["fpcheck", "--model", "g_E", "--grid-k", "4", "--nt", "2",
+                    "--t0", t0, "--t1", t1] + extra
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"--t1 {float(t1):g} lies below" in captured.err, argv
+    assert run(["fpcheck", "--model", "g_E", "--grid-k", "4", "--nt", "2", "--t0", "0",
+                "--t1", "0.01", "--delta", "1.0", "--c", "512"]) == 0
+    assert _json_out(capsys)["t_grid"] == [0.01, 0.01]
 
 
 def test_analyze_and_conditions_empty_t_grid_is_a_usage_error(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplex import evolution, quantize
+from triplex import evolution
 from triplex.evolution import (
     Assembler,
     EvolveConfig,
@@ -27,9 +27,9 @@ from triplex.evolution import (
     window_expr,
 )
 from triplex.models import LowerOrderTerms, ModelError, gallery
-from triplex.quantize import BlockOp, FourierGrid, op_weyl, operator_norm
+from triplex.quantize import BlockOp, FourierGrid, TaylorOps, block_weyl, op_weyl, operator_norm
 from triplex.symbols import differentiate
-from triplex.symmetrizer import A_entries
+from triplex.symmetrizer import A_entries, S_symbols
 
 
 def _unit_state(grid, seed):
@@ -269,11 +269,11 @@ def test_symbols_are_quantized_on_first_use():
     grid = FourierGrid(4)
     asm = Assembler(gallery("g_E"), LowerOrderTerms.random_trig(1), grid)
     U = _unit_state(grid, 1)
-    assert asm._bases == {}
+    assert asm.ops._stacks == {}
     asm.apply(0.5, U)
-    assert "a" in asm._bases and "a2" not in asm._bases
+    assert "a" in asm.ops._stacks and "a2" not in asm.ops._stacks
     asm.energy_form(0.5, U)
-    assert "a2" in asm._bases
+    assert "a2" in asm.ops._stacks
 
 
 def test_margin_report_integral_form():
@@ -473,6 +473,12 @@ def _direct_generator(model, lot, t, grid):
     return BlockOp.from_blocks(rows, grid).matrix
 
 
+def _direct_herm_S(model, t, grid):
+    """Herm Op(S)(t) from S's symbols quantized at t itself."""
+    S = block_weyl(S_symbols(model), t, grid).matrix
+    return 0.5 * (S + S.conj().T)
+
+
 def test_assembler_matches_direct_quantization():
     # the Assembler combines Taylor-in-t bases quantized once at t = 0; the
     # reference quantizes every symbol afresh at each t
@@ -484,9 +490,9 @@ def test_assembler_matches_direct_quantization():
         direct = _direct_generator(model, lot, t, grid)
         cached = asm.apply(t, np.eye(3 * grid.N))
         assert np.allclose(cached, direct, atol=1e-11 * operator_norm(direct))
-        # the energy matrix and the sharp-bound layer quantize S independently
-        H_S = quantize._fp_pieces(model, t, grid)[0]
-        assert np.allclose(asm.energy_matrix(t), H_S, atol=1e-13 * operator_norm(H_S))
+        # the energy matrix against S quantized afresh at t
+        H_S = _direct_herm_S(model, t, grid)
+        assert np.allclose(asm.ops.herm_S(t), H_S, atol=1e-13 * operator_norm(H_S))
 
 
 GALLERY = ("g_strict", "g_zero_b", "g_E", "g_ex21p", "g_ex21m", "g_ex22")
@@ -522,7 +528,7 @@ def test_energy_form_matches_the_dense_energy(name):
     jp_inv2 = np.concatenate([grid.jp_values**-2.0] * 3)
     for t in (0.1, 0.7):
         for lam in (0.0, 2.0):
-            Stilde = asm.energy_matrix(t) + np.diag((lam / t) * jp_inv2)
+            Stilde = asm.ops.herm_S(t) + np.diag((lam / t) * jp_inv2)
             for col in range(V.shape[1]):
                 u = V[:, col]
                 dense = float(np.real(np.vdot(u, Stilde @ u)))
@@ -537,14 +543,14 @@ def test_non_polynomial_symbols_fall_back_to_the_dense_path():
     lot = LOTS["trig"]
     grid = FourierGrid(6)
     asm = Assembler(model, lot, grid)
-    assert asm._row_stack is None and asm._energy_stack is None
+    assert asm._row_stack is None and asm.ops.S_stack is None
     rng = np.random.default_rng(16)
     V = rng.standard_normal((3 * grid.N, 2)) + 1j * rng.standard_normal((3 * grid.N, 2))
     for t in (0.1, 0.7):
         direct = _direct_generator(model, lot, t, grid)
         assert _rel(asm.apply(t, V), direct @ V) <= 1e-13
-        H_S = quantize._fp_pieces(model, t, grid)[0]
-        assert _rel(asm.energy_matrix(t), H_S) <= 1e-13
+        H_S = _direct_herm_S(model, t, grid)
+        assert _rel(asm.ops.herm_S(t), H_S) <= 1e-13
         u = V[:, 0]
         assert asm.energy_form(t, u) == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
         assert _rel(asm.row(t), direct[: grid.N]) <= 1e-13
@@ -563,8 +569,12 @@ def test_polynomial_models_evolve_without_dense_matrices(monkeypatch):
     def dense(*args):
         raise AssertionError("dense 3N x 3N matrix built on the RK4 path")
 
+    def herm_S_product(self, t, V=None):
+        return dense() if V is None or self.S_stack is None else real_herm_S(self, t, V)
+
+    real_herm_S = TaylorOps.herm_S
     monkeypatch.setattr(Assembler, "_quantized_row", dense)
-    monkeypatch.setattr(Assembler, "energy_matrix", dense)
+    monkeypatch.setattr(TaylorOps, "herm_S", herm_S_product)
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(17, amplitude=0.4)
     grid = FourierGrid(8)
