@@ -571,7 +571,6 @@ def _build_parser():
     p.add_argument("--grid-k", type=int, default=64)
     p.add_argument("--eps-start", type=float, default=1e-2)
     p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lot-seed", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_loss)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .models import HyperbolicModel
 from .symbols import differentiate
+from .symmetrizer import grid_fields
 
 TOL_ROOT = 1e-10
 
@@ -41,16 +42,6 @@ def discriminants(q1, q2, q3, jp):
     d0 = q1**2 - 3.0 * q2
     delta = -(d1**2 - 4.0 * d0**3) / (27.0 * np.asarray(jp, dtype=float) ** 6)
     return d1, d0, delta
-
-
-@dataclass(frozen=True)
-class RootTriple:
-    lambda1: float
-    lambda2: float
-    lambda3: float
-
-    def as_array(self):
-        return np.array([self.lambda1, self.lambda2, self.lambda3])
 
 
 def roots_trig_array(a, b, jp):
@@ -97,11 +88,6 @@ def roots_trig_array(a, b, jp):
     return out
 
 
-def roots_trig(a, b, jp=1.0):
-    lam = roots_trig_array(a, b, jp)
-    return RootTriple(float(lam[0]), float(lam[1]), float(lam[2]))
-
-
 def root_oracle_array(a, b, jp):
     """Roots via companion-matrix eigenvalues (brute-force oracle)."""
     a = np.asarray(a, dtype=float)
@@ -118,37 +104,6 @@ def root_oracle_array(a, b, jp):
     if np.any(np.abs(eigs.imag) > TOL_ROOT * scale[..., None] * 10):
         raise NonHyperbolicError("companion matrix has a complex pair")
     return np.sort(eigs.real, axis=-1)[..., ::-1]
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    roots: RootTriple
-    deltas: tuple
-    measured_cH: float | None
-    measured_cE: float | None
-
-
-def root_separation(model: HyperbolicModel, t, x, xi):
-    """Roots and the separation functions delta_k = dp/dtau at lambda_k.
-
-    delta_k = 3 lambda_k^2 - a jp^2.  The measured companions divide
-    min_k |delta_k| by t jp^2 (condition H scale) and by
-    sqrt(t (t + alpha)) jp^2 (condition E scale); at t = 0 they are None.
-    """
-    jp = math.sqrt(1.0 + float(xi) ** 2)
-    alpha = float(model.eval_alpha(x, xi))
-    a = float(model.eval_a(t, x, xi))
-    b = float(model.eval_b(t, x, xi))
-    roots = roots_trig(a, b, jp)
-    lam = roots.as_array()
-    deltas = tuple(float(3.0 * l * l - a * jp**2) for l in lam)
-    min_abs = min(abs(d) for d in deltas)
-    if t > 0:
-        cH = min_abs / (t * jp**2)
-        cE = min_abs / (math.sqrt(t * (t + alpha)) * jp**2)
-    else:
-        cH = cE = None
-    return SeparationReport(roots=roots, deltas=deltas, measured_cH=cH, measured_cE=cE)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +163,6 @@ class ConditionReport:
         }
 
 
-def _grid_fields(model, grid):
-    tg = grid.t_vals[:, None, None]
-    xg = grid.x_vals[None, :, None]
-    xig = grid.xi_vals[None, None, :]
-    shape = grid.shape()
-    alpha = np.broadcast_to(model.alpha.evaluate(0.0, xg, xig), shape)
-    a = np.broadcast_to((tg + alpha) * model.atilde.evaluate(tg, xg, xig), shape)
-    b = np.broadcast_to(model.b.evaluate(tg, xg, xig), shape)
-    return tg, alpha, a, b
-
-
 def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     """Grid check of condition (H) or (E).
 
@@ -232,7 +176,7 @@ def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
         grid = default_condition_grid(model)
     if np.any(grid.t_vals <= 0):
         raise ValueError("condition grid must have t > 0 only")
-    tg, alpha, a, b = _grid_fields(model, grid)
+    tg, alpha, a, b, jp2 = grid_fields(model, grid)
     delta_field = 4.0 * a**3 - 27.0 * b**2
     weight = tg**2 * (tg + alpha) if which == "H" else tg * (tg + alpha) ** 2
     ratio = delta_field / weight
@@ -247,7 +191,6 @@ def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     extras = {}
     if which == "E":
         # diagnostic only: ratio against t * d0 with d0 = 3 a jp^2
-        jp2 = 1.0 + grid.xi_vals[None, None, :] ** 2
         d0 = 3.0 * a * jp2
         extras["min_delta_over_t_d0"] = float(np.min(delta_field / (tg * d0)))
     delta_best = max(0.0, min_ratio)
@@ -332,7 +275,7 @@ def glaeser_bounds(model: HyperbolicModel, grid=None, a_floor=1e-8):
     """
     if grid is None:
         grid = default_condition_grid(model)
-    tg, alpha, a, b_vals = _grid_fields(model, grid)
+    tg, _, a, _, _ = grid_fields(model, grid)
     shape = a.shape
     xg = grid.x_vals[None, :, None]
     xig = grid.xi_vals[None, None, :]

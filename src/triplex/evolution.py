@@ -48,7 +48,6 @@ class EvolveConfig:
     n_star: float = 0.0
     gamma: float = 1.0
     lam: float = 1.0
-    delta: float = 0.25
     growth_abort: float = 1e6
 
     def validate(self):
@@ -709,22 +708,13 @@ class TaylorLift:
             out = out + Uj * (1j * t) ** j / math.factorial(j)
         return out
 
-    def deriv(self, t, m):
-        """D_t^m of the lift at time t (D_t = -i d/dt)."""
-        out = np.zeros_like(self.coefficients[0])
-        for j in range(m, len(self.coefficients)):
-            Uj = self.coefficients[j]
-            out = out + Uj * (1j**j) * ((-1j) ** m) * t ** (j - m) / math.factorial(j - m)
-        return out
 
-
-def taylor_lift(model, lot, data, order, grid, f=None):
+def taylor_lift(model, lot, data, order, grid):
     """Polynomial lift U_M(t) = sum U_j (i t)^j / j! matching D_t^j U(0).
 
     data is the triple of component coefficient vectors of U(0).  The
-    recursion D_t^(j+1) U = D_t^j (M U + F) at t = 0 takes the generator's
-    t derivatives symbolically; order is capped at 6.  f, when given, is a
-    forcing expression in (t, x) entering the first component.
+    recursion D_t^(j+1) U = D_t^j (M U) at t = 0 takes the generator's
+    t derivatives symbolically; order is capped at 6.
     """
     if not 0 <= order <= 6:
         raise ValueError("order must be between 0 and 6")
@@ -749,23 +739,11 @@ def taylor_lift(model, lot, data, order, grid, f=None):
     def gen_deriv(i, V):
         return np.concatenate([rows[i] @ V, _shifts(shift, V) if i == 0 else np.zeros(2 * N)])
 
-    f_derivs = []
-    if f is not None:
-        fi = f
-        for i in range(order):
-            if i:
-                fi = differentiate(fi, "t", 1)
-            vec = np.zeros(3 * N, dtype=complex)
-            vec[0:N] = grid.coefficients(fi, t=0.0)
-            f_derivs.append(((-1j) ** i) * vec)
-
     coeffs = [U0]
     for j in range(order):
         nxt = np.zeros(3 * N, dtype=complex)
         for i in range(j + 1):
             nxt += math.comb(j, i) * gen_deriv(i, coeffs[j - i])
-        if f is not None:
-            nxt += f_derivs[j]
         coeffs.append(nxt)
     return TaylorLift(coefficients=tuple(coeffs), grid=grid)
 
@@ -795,15 +773,7 @@ def _sweep_row(base, lot, eps, grid, seed):
     from .quantize import fp_search
     from .symmetrizer import lower_bound_delta
 
-    model = build_model(
-        base.alpha + Const(float(eps)),
-        atilde=base.atilde,
-        b=base.b,
-        c0=base.c0,
-        T=base.T,
-        period=base.period,
-        name=f"g_eps({base.name},{eps:g})",
-    )
+    model = base.with_alpha(eps)
     cond = check_condition(model, "E",
                            default_condition_grid(model, nt=32, nx=32, nxi=5))
     sym = lower_bound_delta(model, default_condition_grid(model, nt=16, nx=16, nxi=5))

@@ -24,7 +24,6 @@ from .symbols import (
     X,
     ZERO,
     call,
-    differentiate,
     parse_symbol,
 )
 
@@ -78,34 +77,22 @@ class HyperbolicModel:
     def eval_alpha(self, x, xi):
         return self.alpha.evaluate(0.0, x, xi)
 
-    def eval_atilde(self, t, x, xi):
-        return self.atilde.evaluate(t, x, xi)
-
     def eval_a(self, t, x, xi):
         return (t + self.alpha.evaluate(0.0, x, xi)) * self.atilde.evaluate(t, x, xi)
 
     def eval_b(self, t, x, xi):
         return self.b.evaluate(t, x, xi)
 
-    def eval_delta(self, t, x, xi):
-        """Discriminant Delta = 4 a^3 - 27 b^2 at the given points."""
-        a = self.eval_a(t, x, xi)
-        b = self.b.evaluate(t, x, xi)
-        return 4.0 * a**3 - 27.0 * b**2
-
-    def beta1(self):
-        """Symbolic d b / d t, to be evaluated at t = 0."""
-        return differentiate(self.b, "t", 1)
-
-    def with_alpha(self, alpha, name=None):
+    def with_alpha(self, eps):
+        """The model with alpha replaced by alpha + eps, named g_eps(name,eps)."""
         return build_model(
-            alpha,
+            self.alpha + Const(float(eps)),
             atilde=self.atilde,
             b=self.b,
             c0=self.c0,
             T=self.T,
             period=self.period,
-            name=name or self.name,
+            name=f"g_eps({self.name},{eps:g})",
         )
 
 
@@ -136,13 +123,6 @@ class LowerOrderTerms:
                 e = e + Const(coeffs[2 * m]) * call("sin", Const(float(m)) * X)
             exprs.append(e)
         return LowerOrderTerms(*exprs)
-
-    def evaluate(self, t, x, xi):
-        return (
-            self.b10.evaluate(t, x, xi),
-            self.b11.evaluate(t, x, xi),
-            self.b12.evaluate(t, x, xi),
-        )
 
 
 def _coerce(expr):
@@ -271,15 +251,7 @@ def gallery(name, **params):
             base = gallery(base, T=T_, c0=c0, atilde=atilde, **params)
         elif params:
             raise ModelError(f"unknown gallery params {sorted(params)}")
-        return build_model(
-            base.alpha + Const(eps),
-            atilde=base.atilde,
-            b=base.b,
-            c0=base.c0,
-            T=base.T,
-            period=base.period,
-            name=f"g_eps({base.name},{eps:g})",
-        )
+        return base.with_alpha(eps)
 
     if name == "g_strict":
         M = float(params.pop("M", 1.0))

@@ -107,10 +107,6 @@ class FourierGrid:
         coef = np.fft.fft(vals) / self.N
         return np.roll(coef, self.K)  # index 0 -> mode -K
 
-    def values(self, coeffs):
-        """Node values of a coefficient vector (inverse of coefficients)."""
-        return np.fft.ifft(np.roll(np.asarray(coeffs), -self.K)) * self.N
-
 
 @dataclass
 class BlockOp:
@@ -424,16 +420,20 @@ def _friedrichs_matrix(entries, t, grid, bump, points_per_unit):
     return out
 
 
-def friedrichs_part(entries, t, grid, bump=None, points_per_unit=33, adaptive=True,
-                    defect_tol=1e-9, max_doublings=3):
+FRIEDRICHS_PPU = 33
+FRIEDRICHS_DEFECT_TOL = 1e-9
+FRIEDRICHS_DOUBLINGS = 3
+
+
+def friedrichs_part(entries, t, grid, bump=None):
     """Quantized Friedrichs part of a (possibly matrix) symbol.
 
     entries is a nested list of symbol expressions, square.  The zeta
-    integral uses a composite Gauss-Legendre rule with points_per_unit
-    points per unit interval over the union of window supports; with
-    adaptive=True the rule is doubled until the positivity defect
-    max(0, -min eig) changes by less than defect_tol (absolute, on the
-    Hermitian part).
+    integral uses a composite Gauss-Legendre rule with FRIEDRICHS_PPU points
+    per unit interval over the union of window supports.  The rule is
+    doubled until the positivity defect max(0, -min eig) changes by less
+    than FRIEDRICHS_DEFECT_TOL (absolute, on the Hermitian part), at most
+    FRIEDRICHS_DOUBLINGS times.
     """
     if bump is None:
         bump = default_bump()
@@ -444,20 +444,17 @@ def friedrichs_part(entries, t, grid, bump=None, points_per_unit=33, adaptive=Tr
         entries = [[entries]]
     b = len(entries)
 
-    mat = _friedrichs_matrix(entries, t, grid, bump, points_per_unit)
-    if adaptive:
-        herm = 0.5 * (mat + mat.conj().T)
-        defect = max(0.0, -float(np.linalg.eigvalsh(herm)[0]))
-        ppu = points_per_unit
-        for _ in range(max_doublings):
-            ppu *= 2
-            mat2 = _friedrichs_matrix(entries, t, grid, bump, ppu)
-            herm2 = 0.5 * (mat2 + mat2.conj().T)
-            defect2 = max(0.0, -float(np.linalg.eigvalsh(herm2)[0]))
-            converged = abs(defect2 - defect) < defect_tol
-            mat, defect = mat2, defect2
-            if converged:
-                break
+    ppu = FRIEDRICHS_PPU
+    mat = _friedrichs_matrix(entries, t, grid, bump, ppu)
+    defect = max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]))
+    for _ in range(FRIEDRICHS_DOUBLINGS):
+        ppu *= 2
+        mat2 = _friedrichs_matrix(entries, t, grid, bump, ppu)
+        defect2 = max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat2 + mat2.conj().T))[0]))
+        converged = abs(defect2 - defect) < FRIEDRICHS_DEFECT_TOL
+        mat, defect = mat2, defect2
+        if converged:
+            break
     return BlockOp(mat, grid, blocks=b)
 
 

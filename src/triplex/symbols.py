@@ -54,7 +54,6 @@ __all__ = [
     "div",
     "pow_",
     "call",
-    "jp_of",
     "parse_symbol",
     "differentiate",
 ]
@@ -139,7 +138,7 @@ class Expr:
 def _fmt_number(v):
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
-    return repr(v)
+    return repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,7 @@ class Add(Expr):
         return self.left.variables() | self.right.variables()
 
     def __str__(self):
-        return f"{_paren(self.left, 1)} + {_paren(self.right, 1)}"
+        return f"{_paren(self.left, 1)} + {_paren(self.right, 1, tight=True)}"
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ class Mul(Expr):
         return self.left.variables() | self.right.variables()
 
     def __str__(self):
-        return f"{_paren(self.left, 2)} * {_paren(self.right, 2)}"
+        return f"{_paren(self.left, 2)} * {_paren(self.right, 2, tight=True)}"
 
 
 @dataclass(frozen=True)
@@ -299,8 +298,11 @@ class Pow(Expr):
         base = self.base.evaluate(t, x, xi)
         if self.exponent < 0 and np.any(np.asarray(base) == 0):
             raise EvalDomainError(f"zero raised to a negative power in {self}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.power(base, self.exponent) if not np.isscalar(base) else base**self.exponent
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.power(base, self.exponent) if not np.isscalar(base) else base**self.exponent
+        except OverflowError:  # a Python float raises where numpy returns inf
+            out = math.inf
         if not np.all(np.isfinite(out)):
             raise EvalDomainError(f"overflow in {self}")
         return out
@@ -380,9 +382,14 @@ X = Var("x")
 XI = Var("xi")
 
 
+def _fold(value, node, *args):
+    """Const(value) when it is finite, else the unfolded node(*args): str() has no inf."""
+    return Const(value) if math.isfinite(value) else node(*args)
+
+
 def add(a, b):
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold(a.value + b.value, Add, a, b)
     if isinstance(a, Const) and a.value == 0:
         return b
     if isinstance(b, Const) and b.value == 0:
@@ -392,7 +399,7 @@ def add(a, b):
 
 def sub(a, b):
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _fold(a.value - b.value, Sub, a, b)
     if isinstance(b, Const) and b.value == 0:
         return a
     return Sub(a, b)
@@ -400,7 +407,7 @@ def sub(a, b):
 
 def mul(a, b):
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold(a.value * b.value, Mul, a, b)
     if isinstance(a, Const):
         if a.value == 0:
             return ZERO
@@ -420,7 +427,7 @@ def div(a, b):
     if isinstance(a, Const) and a.value == 0:
         return ZERO
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
+        return _fold(a.value / b.value, Div, a, b)
     return Div(a, b)
 
 
@@ -433,9 +440,10 @@ def pow_(base, exponent):
     if n == 1:
         return base
     if isinstance(base, Const):
-        out = base.value**n
-        if math.isfinite(out):
-            return Const(out)
+        try:
+            return _fold(base.value**n, Pow, base, n)
+        except (OverflowError, ZeroDivisionError):
+            pass
     return Pow(base, n)
 
 
@@ -446,12 +454,8 @@ def call(fn, arg):
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
     if isinstance(arg, Const) and fn in _SAFE_CONST_FOLD:
-        return Const(_SAFE_CONST_FOLD[fn](arg.value))
+        return _fold(_SAFE_CONST_FOLD[fn](arg.value), Call, fn, arg)
     return Call(fn, arg)
-
-
-def jp_of(e):
-    return call("jp", e)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +581,8 @@ class _Parser:
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "number":
+            if not math.isfinite(float(value)):
+                raise ParseError(f"number {value!r} out of range", offset)
             return Const(float(value))
         if kind == "ident":
             if value in VARIABLES:

@@ -21,47 +21,12 @@ quantizers, and quantize.BlockOp.from_blocks lays out operator blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HyperbolicModel, LowerOrderTerms
+from .models import HyperbolicModel
 from .symbols import Const, Expr
-
-
-@dataclass(frozen=True)
-class PointEval:
-    """Coefficient values of a model at a single (t, x, xi) point."""
-
-    t: float
-    x: float
-    xi: float
-    alpha: float
-    atilde: float
-    a: float
-    b: float
-    jp: float
-
-    @property
-    def scale(self):
-        """Matrix tolerance scale 1 + a^2 + b^2 + (t + alpha)^2."""
-        return 1.0 + self.a**2 + self.b**2 + (self.t + self.alpha) ** 2
-
-
-def point_eval(model: HyperbolicModel, t, x, xi):
-    alpha = float(model.eval_alpha(x, xi))
-    atilde = float(model.eval_atilde(t, x, xi))
-    return PointEval(
-        t=float(t),
-        x=float(x),
-        xi=float(xi),
-        alpha=alpha,
-        atilde=atilde,
-        a=(float(t) + alpha) * atilde,
-        b=float(model.eval_b(t, x, xi)),
-        jp=math.sqrt(1.0 + float(xi) ** 2),
-    )
 
 
 def S_entries(a, b, a2):
@@ -112,13 +77,6 @@ def matrix_A(a, b):
     return _stack3(A_entries(a, b))
 
 
-def matrix_B(pe: PointEval, lot: LowerOrderTerms):
-    b10, b11, b12 = (float(v) for v in lot.evaluate(pe.t, pe.x, pe.xi))
-    out = np.zeros((3, 3))
-    out[0] = (b10, b11, b12)
-    return out
-
-
 def identity_defects(t, alpha, a, b):
     """Worst scale-normalized defects of S A = (S A)^T and det S = Delta.
 
@@ -134,70 +92,20 @@ def identity_defects(t, alpha, a, b):
     return float(np.max(asym)), float(np.max(det))
 
 
-def det3(m):
-    """Cofactor expansion along the first row (no LU pivoting)."""
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-@dataclass(frozen=True)
-class DetIdentityReport:
-    det_S: float
-    delta: float
-    det_shifted: float
-    remainder_ratio: float
-
-
-def det_identities(pe: PointEval, delta=0.25):
-    """det S vs Delta and the shifted determinant remainder.
-
-    remainder_ratio = |det(S - 2 delta t J) - Delta| / (delta t (t+alpha)^2),
-    which the structure of S keeps O(1) (it is 2 delta O(t (t+alpha)^2)).
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    S = matrix_S(pe.a, pe.b)
-    det_s = det3(S)
-    dd = 4.0 * pe.a**3 - 27.0 * pe.b**2
-    shifted = det3(S - 2.0 * delta * pe.t * matrix_J(pe.a))
-    denom = delta * pe.t * (pe.t + pe.alpha) ** 2
-    ratio = abs(shifted - dd) / denom if denom > 0 else float("inf") if shifted != dd else 0.0
-    return DetIdentityReport(det_S=det_s, delta=dd, det_shifted=shifted, remainder_ratio=ratio)
-
-
-def build_Stilde(pe: PointEval, lam):
-    """S + lam t^-1 jp^-2 I (pointwise; t > 0 required)."""
-    if not pe.t > 0:
-        raise ValueError("Stilde needs t > 0")
-    return matrix_S(pe.a, pe.b) + (lam / (pe.t * pe.jp**2)) * np.eye(3)
-
-
-def stilde_floor(model: HyperbolicModel, grid):
-    """Smallest lam such that min eig(S + lam/(t jp^2)) >= lam/(2 t jp^2) on the grid.
-
-    Pointwise that is lam >= 2 t jp^2 max(0, -min eig S); returns the sup.
-    """
-    t, _, a, b, jp2 = grid_fields(model, grid)
-    eigs = np.linalg.eigvalsh(matrix_S(a, b))
-    need = 2.0 * t * jp2 * np.maximum(0.0, -eigs[..., 0])
-    return float(np.max(need))
-
-
 def grid_fields(model, grid):
-    """t, alpha, a, b and jp^2 at every point of a (t, x, xi) grid, shape (nt, nx, nxi)."""
+    """t, alpha, a, b and jp^2 on a (t, x, xi) grid.
+
+    alpha, a and b have shape (nt, nx, nxi); t is (nt, 1, 1) and jp^2 is
+    (1, 1, nxi), which broadcast against them.
+    """
     tg = grid.t_vals[:, None, None]
     xg = grid.x_vals[None, :, None]
     xig = grid.xi_vals[None, None, :]
-    shape = (len(grid.t_vals), len(grid.x_vals), len(grid.xi_vals))
+    shape = grid.shape()
     alpha = np.broadcast_to(model.alpha.evaluate(0.0, xg, xig), shape)
     a = np.broadcast_to((tg + alpha) * model.atilde.evaluate(tg, xg, xig), shape)
     b = np.broadcast_to(model.b.evaluate(tg, xg, xig), shape)
-    t_full = np.broadcast_to(tg, shape)
-    jp2 = np.broadcast_to(1.0 + xig**2, shape)
-    return t_full, alpha, a, b, jp2
+    return tg, alpha, a, b, 1.0 + xig**2
 
 
 @dataclass(frozen=True)

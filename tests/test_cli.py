@@ -259,7 +259,10 @@ def test_time_beyond_the_model_horizon_is_a_usage_error(capsys):
 def test_bad_model_file_numbers_are_usage_errors(capsys, tmp_path):
     for text, match in (("period = 0", "period must be positive"),
                         ("period = -1", "period must be positive"),
-                        ("T = 1.x", "line 2: T must be a number")):
+                        ("T = 1.x", "line 2: T must be a number"),
+                        ("b = 1e999 * t", "out of range"),
+                        ("b = 1e200^2 * t", "overflow in 1e+200^2"),
+                        ("atilde = 1 + 0^-1", "zero raised to a negative power")):
         path = tmp_path / "bad.model"
         path.write_text("alpha = (1 - cos(x))^2\n" + text + "\n")
         for argv in (["analyze", "--model", str(path), "--nt", "3"],

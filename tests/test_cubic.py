@@ -16,8 +16,6 @@ from triplex.cubic import (
     discriminants,
     glaeser_bounds,
     root_oracle_array,
-    root_separation,
-    roots_trig,
     roots_trig_array,
 )
 from triplex.models import gallery
@@ -60,8 +58,7 @@ def test_double_root_family_is_exact():
 
 
 def test_triple_root_at_origin():
-    lam = roots_trig(0.0, 0.0, 2.0)
-    assert lam.as_array().tolist() == [0.0, 0.0, 0.0]
+    assert roots_trig_array(0.0, 0.0, 2.0).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_non_hyperbolic_raises():
@@ -162,10 +159,13 @@ def test_glaeser_ratios_are_finite():
 
 
 def test_root_separation_reports_positive_gaps():
-    rep = root_separation(gallery("g_strict"), 0.5, 1.0, 4.0)
-    lam = rep.roots.as_array()
+    # a strictly hyperbolic model has simple roots: dp/dtau = 3 lam^2 - a jp^2 != 0
+    model, t, x, xi = gallery("g_strict"), 0.5, 1.0, 4.0
+    jp = math.sqrt(1.0 + xi**2)
+    a, b = model.eval_a(t, x, xi), model.eval_b(t, x, xi)
+    lam = roots_trig_array(a, b, jp)
     assert lam[0] > lam[1] > lam[2]
-    assert rep.measured_cE is None or rep.measured_cE > 0
+    assert np.min(np.abs(3.0 * lam**2 - a * jp**2)) > 0
 
 
 def test_condition_report_serializes():

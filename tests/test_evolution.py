@@ -382,7 +382,10 @@ def test_taylor_lift_matches_short_evolution():
     asm = Assembler(model, lot, grid)
 
     def residual(t):
-        return np.linalg.norm(lift.deriv(t, 1) - asm.apply(t, lift.eval(t)))
+        # D_t = -i d/dt maps U_j (i t)^j / j! to U_j (i t)^(j-1) / (j-1)!
+        dt_lift = sum(Uj * (1j * t) ** (j - 1) / math.factorial(j - 1)
+                      for j, Uj in enumerate(lift.coefficients) if j)
+        return np.linalg.norm(dt_lift - asm.apply(t, lift.eval(t)))
 
     r1, r2 = residual(2e-3), residual(1e-3)
     ratio = r1 / r2
@@ -390,32 +393,29 @@ def test_taylor_lift_matches_short_evolution():
 
 
 def test_taylor_lift_coefficients_match_the_dense_recursion():
-    # U_{j+1} = sum_i C(j, i) D_t^i M(0) U_{j-i} + D_t^j F(0), D_t^i M(0) = (-i)^i M^(i)(0)
+    # U_{j+1} = sum_i C(j, i) D_t^i M(0) U_{j-i}, D_t^i M(0) = (-i)^i M^(i)(0)
     # with M^(i)(0) laid out densely from the t-derivatives of the symbols
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(21, amplitude=0.4)
-    f = lot.b11 + model.b  # any forcing expression in (t, x)
     grid = FourierGrid(5)
     N = grid.N
     rng = np.random.default_rng(22)
     data = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(3)]
     order = 5
-    lift = taylor_lift(model, lot, data, order=order, grid=grid, f=f)
+    lift = taylor_lift(model, lot, data, order=order, grid=grid)
 
-    exprs = [model.a_expr, model.b, lot.b10, lot.b11, lot.b12, f]
-    derivs, forcing = [], []
+    exprs = [model.a_expr, model.b, lot.b10, lot.b11, lot.b12]
+    derivs = []
     for i in range(order):
         if i:
             exprs = [differentiate(e, "t", 1) for e in exprs]
-        a, b, b10, b11, b12 = (op_weyl(e, 0.0, grid) for e in exprs[:5])
+        a, b, b10, b11, b12 = (op_weyl(e, 0.0, grid) for e in exprs)
         rows = A_entries(a * grid.jp_values, b * grid.jp_values, grid.jp_values if i == 0 else 0)
         rows[0] = [b10, rows[0][1] + b11, rows[0][2] + b12]
         derivs.append((-1j) ** i * BlockOp.from_blocks(rows, grid).matrix)
-        forcing.append((-1j) ** i * np.concatenate([grid.coefficients(exprs[5]), np.zeros(2 * N)]))
     want = [np.concatenate(data)]
     for j in range(order):
-        nxt = sum(math.comb(j, i) * derivs[i] @ want[j - i] for i in range(j + 1))
-        want.append(nxt + forcing[j])
+        want.append(sum(math.comb(j, i) * derivs[i] @ want[j - i] for i in range(j + 1)))
     for got, ref in zip(lift.coefficients, want, strict=True):
         assert _rel(got, ref) <= 1e-13
 
@@ -459,6 +459,24 @@ def test_regularize_sweep_is_stable():
     assert rep.stable_within <= 2.0
     assert [r.eps for r in rep.rows] == list(eps_list)
     assert all(r.fp_delta is not None for r in rep.rows)
+
+
+def test_regularize_sweep_rows_are_the_g_eps_models(monkeypatch):
+    models = []
+    real = evolution.check_condition
+
+    def recording(model, *args, **kwargs):
+        models.append(model)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "check_condition", recording)
+    base = gallery("g_E", eps=0.4)
+    eps_list = (1e-1, 2.5e-3)
+    regularize_sweep(base, None, eps_list, grid_k=6, seed=0)
+    assert len(models) == len(eps_list)
+    for model, eps in zip(models, eps_list):
+        want = gallery("g_eps", base=base, eps=eps)
+        assert model == want and model.name == want.name == f"g_eps(g_E(eps=0.4),{eps:g})"
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_a_splits_into_time_shift_and_profile():
     t = np.linspace(0.05, 1.0, 7)[:, None]
     x = np.linspace(0.0, 6.0, 9)[None, :]
     alpha = model.eval_alpha(x, 1.0)
-    atilde = model.eval_atilde(t, x, 1.0)
+    atilde = model.atilde.evaluate(t, x, 1.0)
     assert np.allclose(model.eval_a(t, x, 1.0), (t + alpha) * atilde, rtol=1e-14)
     assert np.all(atilde >= model.c0 - 1e-12)
     assert np.all(alpha >= -1e-12)
@@ -55,7 +55,7 @@ def test_gallery_discriminants_are_nonnegative():
     xi = np.array([1.0, 4.0, 16.0])[None, None, :]
     for name in ("g_strict", "g_zero_b", "g_E", "g_ex21p", "g_ex21m", "g_ex22"):
         model = gallery(name)
-        delta = model.eval_delta(t, x, xi)
+        delta = 4.0 * model.eval_a(t, x, xi) ** 3 - 27.0 * model.eval_b(t, x, xi) ** 2
         assert np.min(delta) >= -1e-10, name
 
 
@@ -83,10 +83,11 @@ def test_build_model_validates_hyperbolicity():
 
 def test_with_alpha_replaces_profile():
     model = gallery("g_zero_b")
-    shifted = model.with_alpha(model.alpha + 1.0, name="shifted")
+    shifted = model.with_alpha(1.0)
     x = np.linspace(0.0, 6.0, 11)
     assert np.allclose(shifted.eval_alpha(x, 1.0), model.eval_alpha(x, 1.0) + 1.0)
-    assert shifted.name == "shifted"
+    assert (shifted.atilde, shifted.b) == (model.atilde, model.b)
+    assert shifted.name == "g_eps(g_zero_b,1)"
 
 
 def test_random_trig_is_deterministic_and_bounded():
@@ -94,17 +95,16 @@ def test_random_trig_is_deterministic_and_bounded():
     lot2 = LowerOrderTerms.random_trig(11, amplitude=0.5, modes=2)
     lot3 = LowerOrderTerms.random_trig(12, amplitude=0.5, modes=2)
     x = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    v1 = lot1.evaluate(0.3, x, 1.0)
-    v2 = lot2.evaluate(0.3, x, 1.0)
-    v3 = lot3.evaluate(0.3, x, 1.0)
-    assert np.array_equal(np.asarray(v1), np.asarray(v2))
-    assert not np.allclose(np.asarray(v1), np.asarray(v3))
+    v1, v2, v3 = ([np.asarray(e.evaluate(0.3, x, 1.0)) for e in (lot.b10, lot.b11, lot.b12)]
+                  for lot in (lot1, lot2, lot3))
+    assert np.array_equal(v1, v2)
+    assert not np.allclose(v1, v3)
 
 
 def test_zero_lot_evaluates_to_zero():
     lot = LowerOrderTerms.zero()
-    vals = np.asarray(lot.evaluate(0.5, np.linspace(0, 6, 5), 2.0))
-    assert np.all(vals == 0)
+    for e in (lot.b10, lot.b11, lot.b12):
+        assert np.all(np.asarray(e.evaluate(0.5, np.linspace(0, 6, 5), 2.0)) == 0)
 
 
 MODEL_TEXT = """
@@ -124,7 +124,7 @@ def test_parse_model_text_round_trip():
     assert model.c0 == 0.9
     x = np.linspace(0.0, 6.0, 7)
     assert np.allclose(model.eval_alpha(x, 1.0), 0.5)
-    assert np.allclose(model.eval_atilde(0.0, x, 1.0), 1 + 0.1 * np.cos(x))
+    assert np.allclose(model.atilde.evaluate(0.0, x, 1.0), 1 + 0.1 * np.cos(x))
     b10 = np.asarray(lot.b10.evaluate(0.0, x, 1.0))
     assert np.allclose(b10, 0.2 * np.sin(x))
 

@@ -23,7 +23,7 @@ from triplex.quantize import (
     operator_norm,
     sgarding_residual,
 )
-from triplex.symbols import Const, X, XI, call, jp_of, parse_symbol
+from triplex.symbols import Const, X, XI, call, parse_symbol
 from triplex.symmetrizer import J_entries, S_symbols
 
 
@@ -42,13 +42,14 @@ def test_coefficients_invert_values():
     grid = FourierGrid(8)
     rng = np.random.default_rng(0)
     coef = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    back = grid.coefficients(grid.values(coef))
+    values = np.fft.ifft(np.roll(coef, -grid.K)) * grid.N  # node values, mode -K first
+    back = grid.coefficients(values)
     assert np.allclose(back, coef, atol=1e-12)
 
 
 def test_weyl_of_x_independent_symbol_is_diagonal():
     grid = FourierGrid(6)
-    op = op_weyl(jp_of(XI), 0.3, grid)
+    op = op_weyl(call("jp", XI), 0.3, grid)
     assert np.allclose(op, np.diag(grid.jp_values), atol=1e-12)
     inv2 = op_weyl(Const(1.0) / (Const(1.0) + XI * XI), 0.3, grid)
     assert np.allclose(inv2, np.diag(grid.jp_values**-2.0), atol=1e-12)
@@ -78,7 +79,7 @@ def test_weyl_of_pure_multiplication_matches_convolution():
 
 def test_weyl_of_real_symbol_is_hermitian():
     grid = FourierGrid(8)
-    expr = parse_symbol("(1 - cos(x))^2") * jp_of(XI)
+    expr = parse_symbol("(1 - cos(x))^2") * call("jp", XI)
     mat = op_weyl(expr, 0.5, grid)
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12 * (1 + np.max(np.abs(mat)))
 
@@ -336,9 +337,9 @@ def _dense_friedrichs(entries, t, grid, bump, points_per_unit):
 
 
 def _assert_matches_dense(entries, t, grid, points_per_unit, bump=None):
-    got = friedrichs_part(entries, t, grid, bump=bump, points_per_unit=points_per_unit,
-                          adaptive=False).matrix
-    want = _dense_friedrichs(entries, t, grid, bump or default_bump(), points_per_unit)
+    bump = bump or default_bump()
+    got = quantize._friedrichs_matrix(entries, t, grid, bump, points_per_unit)
+    want = _dense_friedrichs(entries, t, grid, bump, points_per_unit)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

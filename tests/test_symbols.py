@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplex.models import LowerOrderTerms
 from triplex.symbols import (
+    FUNCTIONS,
     XI,
     Const,
     EvalDomainError,
     ParseError,
     Var,
     X,
+    add,
     call,
     differentiate,
-    jp_of,
+    div,
+    mul,
     parse_symbol,
+    pow_,
+    sub,
 )
 
 CORPUS = [
@@ -69,6 +75,36 @@ def test_str_round_trip_preserves_values():
                               rtol=1e-14, atol=1e-14)
 
 
+_LEAVES = st.one_of(
+    st.sampled_from([Var("t"), X, XI]),
+    st.floats(allow_nan=False, allow_infinity=False).map(Const),
+)
+
+
+def _nodes(children):
+    """Trees built by the constructors: binary ops, integer powers, every function."""
+    return st.one_of(
+        st.tuples(st.sampled_from([add, sub, mul, div]), children, children),
+        st.tuples(st.just(pow_), children, st.integers(min_value=-3, max_value=4)),
+        st.tuples(st.just(call), st.sampled_from(FUNCTIONS), children),
+    ).map(lambda node: node[0](*node[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _nodes, max_leaves=12))
+def test_str_is_inside_the_grammar_and_parses_back_to_the_same_tree(expr):
+    text = str(expr)
+    assert parse_symbol(text) == expr
+    assert parse_symbol(text.replace("^", "**")) == expr
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_lower_order_terms_print_inside_the_grammar(seed):
+    lot = LowerOrderTerms.random_trig(seed)
+    for expr in (lot.b10, lot.b11, lot.b12):
+        assert parse_symbol(str(expr)) == expr
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(CORPUS),
@@ -101,7 +137,7 @@ def test_derivative_order_is_capped():
 
 
 def test_xi_derivative_of_jp():
-    expr = jp_of(XI)
+    expr = call("jp", XI)
     d = differentiate(expr, "xi", 1)
     for xi in (0.5, 1.0, 8.0):
         assert np.isclose(d.evaluate(0.0, 0.0, xi), xi / math.sqrt(1 + xi**2),

@@ -9,30 +9,23 @@ from hypothesis import strategies as st
 
 from triplex.acceptance import GALLERY
 from triplex.cubic import default_condition_grid
-from triplex.models import LowerOrderTerms, gallery
+from triplex.models import gallery
 from triplex.symbols import Const
 from triplex.symmetrizer import (
-    PointEval,
     S_symbols,
-    build_Stilde,
-    det_identities,
-    det3,
     grid_fields,
     identity_defects,
     lower_bound_delta,
     matrix_A,
-    matrix_B,
     matrix_J,
     matrix_S,
-    point_eval,
     pointwise_delta,
-    stilde_floor,
 )
 
 
-def _pe(a, b, t=0.5, alpha=0.3, xi=2.0):
-    return PointEval(t=t, x=0.0, xi=xi, alpha=alpha, atilde=1.0, a=a, b=b,
-                     jp=math.sqrt(1.0 + xi**2))
+def _scale(t, alpha, a, b):
+    """Matrix tolerance scale 1 + a^2 + b^2 + (t + alpha)^2."""
+    return 1.0 + a**2 + b**2 + (t + alpha) ** 2
 
 
 def matrix_SA_closed(a, b):
@@ -47,12 +40,11 @@ def matrix_SA_closed(a, b):
 )
 def test_sa_product_is_symmetric_and_closed_form(a, frac):
     b = frac * math.sqrt(4.0 * a**3 / 27.0)
-    pe = _pe(a, b)
-    asym, det = identity_defects(pe.t, pe.alpha, pe.a, pe.b)
+    asym, det = identity_defects(0.5, 0.3, a, b)
     assert asym <= 1e-13
     assert det <= 1e-12
     sa = matrix_S(a, b) @ matrix_A(a, b)
-    assert np.max(np.abs(sa - matrix_SA_closed(a, b))) <= 1e-13 * pe.scale
+    assert np.max(np.abs(sa - matrix_SA_closed(a, b))) <= 1e-13 * _scale(0.5, 0.3, a, b)
 
 
 def test_identity_defects_are_the_worst_point():
@@ -87,64 +79,38 @@ def test_symbolic_S_matches_the_written_out_layout():
 )
 def test_det_S_equals_discriminant(a, frac):
     b = frac * math.sqrt(4.0 * a**3 / 27.0)
-    pe = _pe(a, b)
-    rep = det_identities(pe)
     scale = 1.0 + abs(a) ** 3 + b**2
-    assert abs(rep.det_S - rep.delta) <= 1e-12 * scale
-    assert np.isfinite(rep.remainder_ratio)
+    assert abs(np.linalg.det(matrix_S(a, b)) - (4.0 * a**3 - 27.0 * b**2)) <= 1e-12 * scale
 
 
 def test_shifted_determinant_remainder_is_order_one():
     # det(S - 2 delta t J) - Delta stays O(delta t (t+alpha)^2) with a
     # modest constant once a = (t + alpha) atilde is consistent (atilde = 1)
-    worst = 0.0
-    for t, alpha in ((0.5, 0.3), (0.1, 0.01), (1.0, 2.0), (0.01, 0.0)):
-        a = t + alpha
-        for frac in (-0.9, 0.0, 0.9):
-            b = frac * math.sqrt(4.0 * a**3 / 27.0)
-            rep = det_identities(_pe(a, b, t=t, alpha=alpha), delta=0.25)
-            worst = max(worst, rep.remainder_ratio)
-    assert worst <= 30.0
-
-
-def test_point_eval_splits_a():
-    model = gallery("g_E")
-    pe = point_eval(model, 0.4, 1.2, 3.0)
-    assert pe.a == pytest.approx((0.4 + pe.alpha) * pe.atilde, rel=1e-14)
-    assert pe.scale >= 1.0
-    assert pe.jp == pytest.approx(math.sqrt(10.0), rel=1e-15)
-
-
-def test_lower_order_matrix_occupies_first_row():
-    lot = LowerOrderTerms.random_trig(3, amplitude=0.5)
-    B = matrix_B(point_eval(gallery("g_E"), 0.5, 1.0, 2.0), lot)
-    assert np.all(B[1:] == 0)
-    assert np.any(B[0] != 0)
-
-
-def test_det3_matches_numpy():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m = rng.standard_normal((3, 3))
-        assert det3(m) == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-12)
+    delta = 0.25
+    t = np.array([0.5, 0.1, 1.0, 0.01])[:, None]
+    alpha = np.array([0.3, 0.01, 2.0, 0.0])[:, None]
+    a = np.broadcast_to(t + alpha, (4, 3))
+    b = np.array([-0.9, 0.0, 0.9]) * np.sqrt(4.0 * a**3 / 27.0)
+    shifted = np.linalg.det(matrix_S(a, b) - 2.0 * delta * t[..., None, None] * matrix_J(a))
+    ratio = np.abs(shifted - (4.0 * a**3 - 27.0 * b**2)) / (delta * t * (t + alpha) ** 2)
+    assert np.max(ratio) <= 30.0
 
 
 def test_stilde_shift_makes_min_eig_nonnegative():
-    model = gallery("g_E")
-    grid = default_condition_grid(model, nt=12, nx=12, nxi=5)
-    lam = stilde_floor(model, grid)
-    assert lam >= 0.0
-    for t in (0.05, 0.5, 1.0):
-        pe = point_eval(model, t, 2.0, 4.0)
-        st_mat = build_Stilde(pe, lam)
-        floor = lam / (2.0 * pe.t * pe.jp**2)
-        assert np.linalg.eigvalsh(st_mat)[0] >= floor - 1e-10 * pe.scale
-
-
-def test_stilde_requires_positive_time():
-    pe = _pe(1.0, 0.0, t=0.0)
-    with pytest.raises(ValueError):
-        build_Stilde(pe, 1.0)
+    # Stilde = S + lam t^-1 jp^-2 I has min eig >= lam / (2 t jp^2) at every
+    # point once lam >= sup 2 t jp^2 max(0, -min eig S); the sample includes
+    # non-hyperbolic (a, b), where S has a negative eigenvalue
+    rng = np.random.default_rng(7)
+    t, alpha = rng.uniform(0.01, 1.0, (2, 200))
+    jp2 = 1.0 + rng.uniform(0.0, 64.0, 200) ** 2
+    a = (t + alpha) * rng.uniform(1.0, 2.0, 200)
+    b = rng.uniform(-2.0, 2.0, 200) * np.sqrt(4.0 * a**3 / 27.0)
+    S = matrix_S(a, b)
+    lam = float(np.max(2.0 * t * jp2 * np.maximum(0.0, -np.linalg.eigvalsh(S)[..., 0])))
+    assert lam > 0.0
+    shift = lam / (t * jp2)
+    margin = np.linalg.eigvalsh(S + shift[:, None, None] * np.eye(3))[..., 0] - 0.5 * shift
+    assert np.min(margin / _scale(t, alpha, a, b)) >= -1e-12
 
 
 def test_delta_sym_bound_certifies_positivity():
@@ -155,9 +121,9 @@ def test_delta_sym_bound_certifies_positivity():
     # certificate check: S - 2 delta t J stays PSD at fresh sample points
     for t in (0.1, 0.6):
         for x in (0.3, 2.0, 4.5):
-            pe = point_eval(model, t, x, 3.0)
-            shifted = matrix_S(pe.a, pe.b) - 2.0 * rep.delta_sym * t * matrix_J(pe.a)
-            assert np.linalg.eigvalsh(shifted)[0] >= -1e-8 * pe.scale
+            alpha, a, b = model.eval_alpha(x, 3.0), model.eval_a(t, x, 3.0), model.eval_b(t, x, 3.0)
+            shifted = matrix_S(a, b) - 2.0 * rep.delta_sym * t * matrix_J(a)
+            assert np.linalg.eigvalsh(shifted)[0] >= -1e-8 * _scale(t, alpha, a, b)
 
 
 def test_delta_sym_decreases_with_degeneracy():
@@ -227,14 +193,14 @@ def test_lower_bound_delta_needs_at_most_three_eigensolves(monkeypatch):
 
 
 def test_pointwise_delta_is_the_generalized_eigenvalue():
-    pe = _pe(2.0, 0.5, t=0.25)
-    S, J = matrix_S(pe.a, pe.b), matrix_J(pe.a)
-    d = float(pointwise_delta(S, np.float64(pe.a), np.float64(pe.t)))
-    assert np.linalg.eigvalsh(S - 2.0 * d * pe.t * J)[0] == pytest.approx(0.0, abs=1e-12)
+    a, b, t = 2.0, 0.5, 0.25
+    S, J = matrix_S(a, b), matrix_J(a)
+    d = float(pointwise_delta(S, np.float64(a), np.float64(t)))
+    assert np.linalg.eigvalsh(S - 2.0 * d * t * J)[0] == pytest.approx(0.0, abs=1e-12)
     assert d > 0
     # where 2tJ vanishes in every direction delta is unbounded; where a = 0 it is 0
     stack = np.stack([S, S, matrix_S(0.0, 0.0)])
-    got = pointwise_delta(stack, np.array([pe.a, pe.a, 0.0]), np.array([pe.t, 0.0, 0.5]))
+    got = pointwise_delta(stack, np.array([a, a, 0.0]), np.array([t, 0.0, 0.5]))
     assert got[0] == pytest.approx(d, rel=1e-14) and got[1] == np.inf and got[2] == 0.0
 
 
