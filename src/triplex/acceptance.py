@@ -33,6 +33,7 @@ from .evolution import (
     margin_deviation,
     regularize_sweep,
     search_energy_constants,
+    seeded_state,
     taylor_lift,
 )
 from .models import LowerOrderTerms, gallery
@@ -275,9 +276,7 @@ def criterion_energy_inequality(quick=False, seed=0):
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(seed + 606)
     grid = FourierGrid(8 if quick else 16)
-    rng = np.random.default_rng(seed + 607)
-    U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
-    U0 /= np.linalg.norm(U0)
+    U0 = seeded_state(grid, seed + 607)
 
     consts = search_energy_constants(model, lot, grid, U0=U0)
     n_run = max(consts.n_star, 1e-6)  # zero buffer: reference margins bottom at 0
@@ -468,9 +467,7 @@ def _bundle(seed):
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(seed + 1111)
     grid = FourierGrid(8)
-    rng = np.random.default_rng(seed + 1112)
-    U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
-    U0 /= np.linalg.norm(U0)
+    U0 = seeded_state(grid, seed + 1112)
     consts = search_energy_constants(model, lot, grid, U0=U0)
     trace = consts.trace
     margins = energy_margins(trace)

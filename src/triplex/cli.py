@@ -36,6 +36,7 @@ from .evolution import (
     loss_probe,
     regularize_sweep,
     search_energy_constants,
+    seeded_state,
 )
 from .models import GALLERY_NAMES, LowerOrderTerms, ModelError, gallery, load_model_file
 from .quantize import (
@@ -139,12 +140,6 @@ def _emit(args, payload, artifacts=()):
         _write_text(os.path.join(out, f"{args.command}.json"), text)
         for fname, write in artifacts:
             write(os.path.join(out, fname))
-
-
-def _seeded_state(grid, seed):
-    rng = np.random.default_rng(seed)
-    U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
-    return U0 / np.linalg.norm(U0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +339,7 @@ def _cmd_evolve(args):
     _check_horizon(model, args.t1)
     lot = _lot_for(args, lot_file)
     grid = FourierGrid(args.grid_k, model.period)
-    U0 = _seeded_state(grid, args.seed)
+    U0 = seeded_state(grid, args.seed)
     searched = None
     n_weight, lam = args.n_weight, getattr(args, "lam")
     if n_weight is None or lam is None:

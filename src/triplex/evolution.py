@@ -30,9 +30,9 @@ import numpy as np
 from .cubic import Grid3, check_condition, default_condition_grid
 from .models import HyperbolicModel, LowerOrderTerms, ModelError, build_model
 from .symbols import Const, X, call, differentiate
-from .quantize import (FourierGrid, TaylorOps, _horner, _taylor_stack, op_weyl, operator_norm,
-                       top_eigenvalue)
-from .symmetrizer import A_entries
+from .quantize import (FourierGrid, Layout, TaylorOps, c_star, fp_search, herm_S_layout,
+                       op_weyl, operator_norm, top_eigenvalue)
+from .symmetrizer import A_entries, lower_bound_delta
 
 
 @dataclass
@@ -48,7 +48,6 @@ class EvolveConfig:
     n_star: float = 0.0
     gamma: float = 1.0
     lam: float = 1.0
-    growth_abort: float = 1e6
 
     def validate(self):
         if not 0 < self.eps_start < self.T:
@@ -58,6 +57,9 @@ class EvolveConfig:
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
 
+
+# a step that grows |U| by more than this factor aborts the run (verdict "unbounded")
+GROWTH_ABORT = 1e6
 
 _ROW_SYMBOLS = ("a", "b", "b10", "b11", "b12")
 
@@ -80,64 +82,40 @@ def _shifts(shift, V):
 class Assembler:
     """Applies the generator M(t) and the energy form without per-step matrices.
 
-    The operators come from the Taylor stacks of TaylorOps, quantized once,
-    on first use: for symbols polynomial in t (the whole gallery) applying
-    an operator is one matmul against a stack and a Horner sum in t;
+    M's first block row R(t) and Herm Op(S)(t) are Layouts over one
+    TaylorOps: for symbols polynomial in t (the whole gallery) applying
+    either is one matmul against a Taylor stack and a Horner sum in t;
     anything else falls back to quantizing at each requested time.
     """
 
     def __init__(self, model: HyperbolicModel, lot: LowerOrderTerms, grid: FourierGrid):
         self.model = model
-        self.grid = grid
         self.ops = TaylorOps(model, grid, lot or LowerOrderTerms.zero())
         self._jp = grid.jp_values
         self._jp_inv2_block = np.concatenate([self._jp**-2.0] * 3)
         self._shift = np.concatenate([self._jp] * 2)
-        self._rows = {}
+        self.R = Layout(self.ops, _ROW_SYMBOLS, functools.partial(_first_row, self._jp))
+        self.S = herm_S_layout(self.ops)
 
     def cfl_dt(self, cfl=0.5):
         max_a = self.model.report.max_a if self.model.report else 1.0
         return cfl / ((math.sqrt(max(max_a, 0.0)) + 1.0) * float(np.max(self._jp)))
 
-    @functools.cached_property
-    def _row_stack(self):
-        """Taylor stack of M(t)'s first block row; None when a symbol is not polynomial in t."""
-        coeffs = self.ops.coefficients(_ROW_SYMBOLS)
-        if coeffs is None:
-            return None
-        return _taylor_stack([_first_row(self._jp, *ops) for ops in coeffs])
-
     def row(self, t):
         """M(t)'s first block row R(t), N x 3N; the rest of M are the <D> shifts."""
-        W = self._row_stack
-        return self._quantized_row(t) if W is None else _horner(t, W, self.grid.N)
-
-    def _quantized_row(self, t):
-        """R(t) from the symbols quantized at t, for symbols not polynomial in t.
-
-        The rows of the last two times are kept: an RK4 step asks for t + h/2
-        twice and ends where the next begins.
-        """
-        key = float(t)
-        if key not in self._rows:
-            if len(self._rows) == 2:
-                self._rows.pop(next(iter(self._rows)))
-            self._rows[key] = _first_row(self._jp, *(self.ops.op(name, t) for name in _ROW_SYMBOLS))
-        return self._rows[key]
+        return self.R(t)
 
     def apply(self, t, V):
         """M(t) @ V for V of shape (3N,) or (3N, nb), from R(t) and the <D> shifts."""
-        W = self._row_stack
-        RV = self._quantized_row(t) @ V if W is None else _horner(t, W @ V, self.grid.N)
-        return np.concatenate([RV, _shifts(self._shift, V)])
+        return np.concatenate([self.R(t, V), _shifts(self._shift, V)])
 
     def _stilde(self, t, V, lam, rate=False):
         """(Stilde V, Stilde' V or None) for V of shape (3N,) or (3N, nb).
 
         Stilde = Herm Op(S)(t) + lam t^-1 blockdiag(jp^-2); Herm Op(S) and
-        its t-derivative come from TaylorOps.
+        its t-derivative come from the layout S.
         """
-        SV, dSV = self.ops.herm_S_rate(t, V) if rate else (self.ops.herm_S(t, V), None)
+        SV, dSV = self.S.rate(t, V) if rate else (self.S(t, V), None)
         if lam != 0.0 and t > 0:
             PV = (lam / t) * self._jp_inv2_block.reshape((-1,) + (1,) * (V.ndim - 1)) * V
             SV = SV + PV
@@ -287,7 +265,7 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, assembler=None):
     record(t0, U, dU)
     for t, h in steps:
         U_new = _rk4(U, t, h, asm.apply, F, dU)
-        if np.linalg.norm(U_new) > cfg.growth_abort * max(np.linalg.norm(U), 1e-300):
+        if np.linalg.norm(U_new) > GROWTH_ABORT * max(np.linalg.norm(U), 1e-300):
             aborted = True
             break
         U = U_new
@@ -395,12 +373,6 @@ class EnergyConstants:
     trace: EnergyTrace       # the measuring run, weighted with these constants
 
 
-def _next_pow2(v):
-    if v <= 0:
-        return 1.0
-    return 2.0 ** math.ceil(math.log2(v))
-
-
 def _hermite_sup(t, Q, dQ, gamma):
     """(sup, argmax) of t (q'/q - gamma), q the cubic Hermite interpolant of (Q, dQ) at t.
 
@@ -420,43 +392,50 @@ def _hermite_sup(t, Q, dQ, gamma):
     return float(vals[i]), float(tt[i])
 
 
+def seeded_state(grid, seed):
+    """Normalized complex Gaussian state of length 3N, drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
+    return U0 / np.linalg.norm(U0)
+
+
 def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
                             U0=None, seed=0, dt=None):
     """Measure workable (N*, N, gamma, lam) on one trajectory at the step dt.
 
     dt is the caller's evolve step (None: the CFL step).  lam: smallest
-    power of two with Herm(Op S) + (lam/2) t^-1 jp^-2 >= 0 on a coarse t grid
-    (positivity of the shifted energy), doubled once for headroom.  N*: sup
+    power of two with Herm(Op S) + (lam/2) t^-1 jp^-2 >= 0 at 7 times in
+    [eps_start, T], doubled once for headroom: 4 sup C*(t, 0) rounded up,
+    by c_star with the running sup as floor, or 1 when sup C* <= 0.  N*: sup
     of t (dQ/dt / Q - gamma) over the run, clamped at 0, with the exact
     dQ/dt of the energy identity at the samples and the cubic Hermite
     interpolant of (Q, dQ/dt) between them.  The weight exponent N adds a
     display buffer; only N - N* enters verdicts.  The run's trace comes back
     weighted with these constants, so a caller at the same step has its
     energies and margins without integrating U0 again.  When the run hits a
-    growth abort, N* = N = inf and the trace comes back flagged aborted.
+    growth abort, N* = N = inf and the trace comes back flagged aborted; an
+    energy that is not positive (nan included) raises.
     """
     cfg = EvolveConfig(eps_start=eps_start, T=T, dt=dt, gamma=gamma)
     cfg.validate()
     _check_horizon(model, T)
     asm = Assembler(model, lot, grid)
     jp_block = np.concatenate([grid.jp_values] * 3)
-    lam_need = 0.0
+    c_sup = 0.0
     for t in np.geomspace(eps_start, T, 7):
-        H = asm.ops.herm_S(t)
-        sym = jp_block[:, None] * H * jp_block[None, :]
-        lam_need = max(lam_need, 2.0 * t * max(0.0, -float(np.linalg.eigvalsh(sym)[0])))
-    cfg.lam = _next_pow2(2.0 * lam_need) if lam_need > 0 else 1.0
+        c = c_star(jp_block[:, None] * asm.S(t) * jp_block[None, :], t, c_sup)
+        if c is not None:
+            c_sup = max(c_sup, c)
+    cfg.lam = 2.0 ** math.ceil(math.log2(4.0 * c_sup)) if c_sup > 0 else 1.0
 
     if U0 is None:
-        rng = np.random.default_rng(seed)
-        U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
-        U0 = U0 / np.linalg.norm(U0)
+        U0 = seeded_state(grid, seed)
     trace, _ = evolve(model, lot, U0, cfg, grid, assembler=asm)
     if trace.aborted:
         # no finite exponent bounds a run that blew up
         n_star, argmax_t = math.inf, float(trace.t[-1])
-    elif np.any(trace.Q <= 0):
-        raise ValueError("energy lost positivity; increase lam")
+    elif not np.all(trace.Q > 0):
+        raise ValueError("energy is not positive (or not a number); increase lam")
     else:
         sup, argmax_t = _hermite_sup(trace.t, trace.Q, trace.dQ, gamma)
         n_star = max(0.0, sup)
@@ -508,7 +487,7 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
         U_new = _rk4(U, t, h, asm.apply)
         norms_old = np.linalg.norm(U, axis=0)
         norms = np.linalg.norm(U_new, axis=0)
-        if np.any(norms > cfg.growth_abort * np.maximum(norms_old, 1e-300)):
+        if np.any(norms > GROWTH_ABORT * np.maximum(norms_old, 1e-300)):
             aborted = True
             break
         U = U_new
@@ -770,9 +749,6 @@ class SweepReport:
 
 
 def _sweep_row(base, lot, eps, grid, seed):
-    from .quantize import fp_search
-    from .symmetrizer import lower_bound_delta
-
     model = base.with_alpha(eps)
     cond = check_condition(model, "E",
                            default_condition_grid(model, nt=32, nx=32, nxi=5))

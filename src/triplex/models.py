@@ -143,14 +143,26 @@ def default_validation_grid(T=1.0, period=TWO_PI, nt=64, nx=64, nxi=17):
     return t, x, xi
 
 
+def _grid_values(name, expr, t, x, xi):
+    """expr on the grid t x x x xi as a full array; ModelError where it is inf or nan."""
+    vals = np.broadcast_to(expr.evaluate(t[:, None, None], x[None, :, None], xi[None, None, :]),
+                           (len(t), len(x), len(xi)))
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i, j, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ModelError(f"{name} = {vals[i, j, k]} is not finite at "
+                         f"t = {t[i]:.6g}, x = {x[j]:.6g}, xi = {xi[k]:.6g}")
+    return vals
+
+
 def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, grid=None,
                 name="custom"):
     """Validate and build a model from coefficient expressions.
 
-    alpha must not depend on t; atilde must stay >= c0 and alpha >= 0 on the
-    validation grid; the discriminant 4 a^3 - 27 b^2 must stay above
-    -tol_val * (1 + |a|^3) with tol_val = 1e-10.  Violations raise with a
-    witness point.
+    alpha must not depend on t; on the validation grid alpha, atilde and b
+    must be finite, atilde >= c0 and alpha >= 0, and the discriminant
+    4 a^3 - 27 b^2 must stay above -tol_val * (1 + |a|^3) with tol_val =
+    1e-10.  Violations raise with a witness point.
     """
     alpha = _coerce(alpha)
     atilde = _coerce(atilde)
@@ -168,10 +180,8 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, grid=Non
         grid = default_validation_grid(T=T, period=period)
     t_vals, x_vals, xi_vals = (np.asarray(g, dtype=float) for g in grid)
     tg = t_vals[:, None, None]
-    xg = x_vals[None, :, None]
-    xig = xi_vals[None, None, :]
 
-    alpha_vals = np.broadcast_to(alpha.evaluate(0.0, xg, xig), (1,) + (len(x_vals), len(xi_vals)))
+    alpha_vals = _grid_values("alpha", alpha, np.zeros(1), x_vals, xi_vals)  # alpha has no t
     min_alpha = float(np.min(alpha_vals))
     if min_alpha < -1e-12 * (1.0 + float(np.max(np.abs(alpha_vals)))):
         idx = np.unravel_index(np.argmin(alpha_vals), alpha_vals.shape)
@@ -180,7 +190,7 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, grid=Non
         )
 
     shape = (len(t_vals), len(x_vals), len(xi_vals))
-    atilde_vals = np.broadcast_to(atilde.evaluate(tg, xg, xig), shape)
+    atilde_vals = _grid_values("atilde", atilde, t_vals, x_vals, xi_vals)
     min_atilde = float(np.min(atilde_vals))
     if min_atilde < c0 - 1e-12 * (1.0 + c0):
         idx = np.unravel_index(np.argmin(atilde_vals), shape)
@@ -190,7 +200,7 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, grid=Non
         )
 
     a_vals = (tg + alpha_vals) * atilde_vals
-    b_vals = np.broadcast_to(b.evaluate(tg, xg, xig), shape)
+    b_vals = _grid_values("b", b, t_vals, x_vals, xi_vals)
     delta = 4.0 * a_vals**3 - 27.0 * b_vals**2
     tol = 1e-10
     margin = delta + tol * (1.0 + np.abs(a_vals) ** 3)
@@ -332,11 +342,10 @@ def parse_model_text(text):
         name="file",
         **kwargs,
     )
-    lot = LowerOrderTerms(
-        b10=_coerce(entries.get("b10", "0")),
-        b11=_coerce(entries.get("b11", "0")),
-        b12=_coerce(entries.get("b12", "0")),
-    )
+    lot = LowerOrderTerms(*(_coerce(entries.get(key, "0")) for key in ("b10", "b11", "b12")))
+    grid = default_validation_grid(T=model.T, period=model.period)
+    for key in ("b10", "b11", "b12"):
+        _grid_values(key, getattr(lot, key), *grid)  # raises on inf or nan, as build_model does
     return model, lot
 
 

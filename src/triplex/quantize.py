@@ -11,10 +11,11 @@ are computed by trapezoid quadrature on 2N nodes so that every needed
 difference frequency |k - k'| <= 2K is resolved without aliasing.
 
 TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
-Op(t) = sum_i t^i C_i, and builds Herm Op(S) from them.  The evolution
-layer's generator and energy form and the sharp-bound layer (fp_search,
-fp_check) take their t-dependent operators from it.  fp_search certifies
-most (t, delta) with a Cholesky factorization instead of an eigensolve.
+Op(t) = sum_i t^i C_i.  A Layout is an operator affine in them (a symbol,
+Herm Op(S), the generator's first block row) and alone chooses between a
+Taylor stack and quantizing at each t.  c_star is the Fefferman-Phong
+constant C* = -t lambda_min(G), or a Cholesky certificate that it lies
+below a floor; fp_search and the energy shift both use it.
 
 friedrichs_part builds the symmetrized positive part
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +51,15 @@ __all__ = [
     "op_weyl",
     "block_weyl",
     "TaylorOps",
+    "Layout",
+    "herm_S_layout",
     "Bump",
     "default_bump",
     "friedrichs_part",
     "sgarding_residual",
     "fp_check",
     "fp_search",
+    "c_star",
     "operator_norm",
     "top_eigenvalue",
 ]
@@ -209,19 +213,14 @@ def _taylor_stack(coeffs):
     return out
 
 
-_S_SYMBOLS = ("a", "b", "a2")
-
-
 class TaylorOps:
-    """Op(symbol)(t) of a model's symbols, and Herm Op(S)(t), from Taylor stacks in t.
+    """Taylor stacks in t of a model's symbols, and Op(symbol)(t) from them.
 
     The symbols are a, b and a2 = a^2 of the model, plus b10, b11 and b12
     of lot when given.  A symbol polynomial in t (the whole gallery)
     quantizes once, on first use, into the stack [C_0; ...; C_p] with
-    Op(t) = sum_i t^i C_i, so Op(t) or Op(t) @ V is one matmul against the
-    stack and a Horner sum in t.  S is affine in (a, b, a2), so Herm Op(S)
-    gets a stack of its own.  A symbol that is not polynomial in t, or
-    whose degree exceeds 6, falls back to op_weyl at each requested time.
+    Op(t) = sum_i t^i C_i.  A symbol that is not polynomial in t, or whose
+    degree exceeds 6, has no stack.
     """
 
     def __init__(self, model, grid, lot=None):
@@ -242,61 +241,88 @@ class TaylorOps:
 
     def op(self, name, t, V=None):
         """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix."""
-        stack = self.stack(name)
-        if stack is None:
-            op = op_weyl(self.symbols[name], t, self.grid)
-            return op if V is None else op @ V
-        return _horner(t, stack if V is None else stack @ V, self.grid.N)
+        return Layout(self, (name,), None)(t, V)
 
-    def coefficients(self, names):
-        """Per degree i, the t^i coefficients of the named operators (zero past
-        a symbol's own degree), or None when one of them is not polynomial."""
-        stacks = [self.stack(name) for name in names]
+
+class Layout:
+    """F(t) = fn(Op(s_1)(t), ..., Op(s_n)(t)) for fn affine in the named symbols of ops.
+
+    fn None stands for the one symbol itself.  When every symbol has a
+    stack, F(t) = sum_i t^i F_i with F_0 = fn(C_0) and F_i = fn(C_i) - fn(0)
+    from the symbols' t^i coefficients C_i; [F_0; ...; F_p] is built on
+    first use, and F(t) @ V is one matmul and a Horner sum.  Otherwise F is
+    built from the symbols quantized at t, kept for the last two times (an
+    RK4 step asks for t + h/2 twice).  No other code makes this choice.
+    Callers own their layouts, ops holds none: no stack outlives its user.
+    """
+
+    def __init__(self, ops, names, fn):
+        self.ops = ops
+        self.names = names
+        self.fn = fn
+        self._rows = ops.grid.N  # F's row count: N for one symbol; stack sets it for fn's F
+        self._recent = {}
+
+    @functools.cached_property
+    def stack(self):
+        """[F_0; ...; F_p], built on first use; None when a symbol is not polynomial in t."""
+        stacks = [self.ops.stack(name) for name in self.names]
+        if self.fn is None:
+            return stacks[0]
         if any(stack is None for stack in stacks):
             return None
-        N = self.grid.N
+        N = self.ops.grid.N
         zero = np.zeros((N, N))
-        terms = max(len(stack) for stack in stacks) // N
-        return [[stack[i * N : (i + 1) * N] if (i + 1) * N <= len(stack) else zero
-                 for stack in stacks] for i in range(terms)]
+        terms = [self.fn(*(stack[i * N : (i + 1) * N] if (i + 1) * N <= len(stack) else zero
+                           for stack in stacks))
+                 for i in range(max(len(stack) for stack in stacks) // N)]
+        const = self.fn(*(zero for _ in self.names))  # fn(0), not kept: it is as large as F
+        for term in terms[1:]:
+            term -= const  # in place: no copy of the stack's size
+        self._rows = len(terms[0])
+        return _taylor_stack(terms)
 
-    def _herm_S(self, a, b, a2):
-        S = BlockOp.from_blocks(S_entries(a, b, a2), self.grid).matrix
+    def _at(self, t):
+        key = float(t)
+        if key not in self._recent:
+            if len(self._recent) == 2:
+                self._recent.pop(next(iter(self._recent)))
+            self._recent[key] = (
+                op_weyl(self.ops.symbols[self.names[0]], t, self.ops.grid) if self.fn is None
+                else self.fn(*(self.ops.op(name, t) for name in self.names)))
+        return self._recent[key]
+
+    def __call__(self, t, V=None):
+        """F(t), or F(t) @ V without forming the matrix when there is a stack."""
+        W = self.stack
+        if W is None:
+            return self._at(t) if V is None else self._at(t) @ V
+        return _horner(t, W if V is None else W @ V, self._rows)
+
+    def rate(self, t, V):
+        """(F(t) @ V, F'(t) @ V): the Horner sum's t-derivative, or without a stack
+        fn(Op(s_1')(t), ...) - fn(0) from the symbols' t-derivatives quantized at t."""
+        W = self.stack
+        if W is None:
+            derivatives, fn_at_zero = self._rate_parts
+            rates = (op_weyl(d, t, self.ops.grid) for d in derivatives)
+            return self._at(t) @ V, (self.fn(*rates) - fn_at_zero) @ V
+        return _horner_with_rate(t, W @ V, self._rows)
+
+    @functools.cached_property
+    def _rate_parts(self):
+        """The symbols' t-derivatives and fn(0), for rates without a stack."""
+        zero = np.zeros((self.ops.grid.N,) * 2)
+        return ([differentiate(self.ops.symbols[name], "t", 1) for name in self.names],
+                self.fn(*(zero for _ in self.names)))
+
+
+def herm_S_layout(ops):
+    """Herm Op(S)(t) as a Layout over the a, b and a2 of ops."""
+    def herm_S(a, b, a2):
+        S = BlockOp.from_blocks(S_entries(a, b, a2), ops.grid).matrix
         return 0.5 * (S + S.conj().T)
-
-    @functools.cached_property
-    def S_stack(self):
-        """Taylor stack of Herm Op(S)(t), built on first use; None when not polynomial."""
-        coeffs = self.coefficients(_S_SYMBOLS)
-        if coeffs is None:
-            return None
-        const = self._herm_S(0, 0, 0)
-        return _taylor_stack([self._herm_S(*entries) - (const if i else 0)
-                              for i, entries in enumerate(coeffs)])
-
-    def herm_S(self, t, V=None):
-        """Herm Op(S)(t), or Herm Op(S)(t) @ V without forming the matrix."""
-        H = self.S_stack
-        if H is None:
-            S = self._herm_S(*(self.op(name, t) for name in _S_SYMBOLS))
-            return S if V is None else S @ V
-        return _horner(t, H if V is None else H @ V, 3 * self.grid.N)
-
-    @functools.cached_property
-    def _rate_symbols(self):
-        return [differentiate(self.symbols[name], "t", 1) for name in _S_SYMBOLS]
-
-    def herm_S_rate(self, t, V):
-        """(Herm Op(S)(t) @ V, d/dt Herm Op(S)(t) @ V).
-
-        The rate is the Horner sum's t-derivative; on the fallback path it
-        quantizes the t-derivatives of (a, b, a2) at t.
-        """
-        H = self.S_stack
-        if H is None:
-            ops = [op_weyl(expr, t, self.grid) for expr in self._rate_symbols]
-            return self.herm_S(t, V), (self._herm_S(*ops) - self._herm_S(0, 0, 0)) @ V
-        return _horner_with_rate(t, H @ V, 3 * self.grid.N)
+    return Layout(ops, ("a", "b", "a2"), herm_S)
 
 
 # ---------------------------------------------------------------------------
@@ -524,19 +550,19 @@ class FpCheckResult:
     feasible: bool
 
 
-def _fp_pieces(ops, t):
-    """Herm(Op(S)), the J block matrix with Herm(Op(a)), and P = blockdiag(jp^-2), at t."""
-    op_a = ops.op("a", t)
-    M_J = BlockOp.from_blocks(J_entries(0.5 * (op_a + op_a.conj().T)), ops.grid).matrix
-    P = np.diag(np.tile(ops.grid.jp_values**-2.0, 3))
-    return ops.herm_S(t), M_J, P
+def _fp_pieces(S, t):
+    """Herm(Op(S)) from its layout S, J's block matrix with Herm(Op(a)), P = blockdiag(jp^-2)."""
+    op_a = S.ops.op("a", t)
+    M_J = BlockOp.from_blocks(J_entries(0.5 * (op_a + op_a.conj().T)), S.ops.grid).matrix
+    P = np.diag(np.tile(S.ops.grid.jp_values**-2.0, 3))
+    return S(t), M_J, P
 
 
 def fp_check(model, t, grid, delta, C, tol=1e-8):
     """Sharp lower bound test: Herm(Op(S)) - delta t J_op + C t^-1 jp^-2 >= -tol scale."""
     if not t > 0:
         raise ValueError("fp_check needs t > 0")
-    return _fp_eval(*_fp_pieces(TaylorOps(model, grid), t), t, delta, C, tol)
+    return _fp_eval(*_fp_pieces(herm_S_layout(TaylorOps(model, grid)), t), t, delta, C, tol)
 
 
 def _fp_eval(H_S, M_J, P, t, delta, C, tol):
@@ -548,13 +574,21 @@ def _fp_eval(H_S, M_J, P, t, delta, C, tol):
                          feasible=bool(min_eig >= -tol * scale))
 
 
-def _positive_definite(A):
-    """True when the Cholesky factorization of the Hermitian A succeeds (A > 0)."""
+def c_star(G, t, floor):
+    """C* = -t lambda_min(G) of a Hermitian G, or None when Cholesky proves C* < floor.
+
+    G + (floor/t) I > 0 exactly when C* < floor, and a Cholesky factorization
+    that succeeds certifies it without an eigensolve (Golub & Van Loan §4.2).
+    For G = <D>(Herm Op(S) - delta t M_J)<D>, C* is the least C with
+    Herm Op(S) - delta t M_J + (C/t) <D>^-2 >= 0.
+    """
+    shifted = G.copy()
+    shifted[np.diag_indices(len(G))] += floor / t
     try:
-        np.linalg.cholesky(A)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return -t * float(np.linalg.eigvalsh(G)[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -577,15 +611,12 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
     G = P^(-1/2) (H_S - delta t M_J) P^(-1/2).  Feasibility is monotone in C
     (P >= 0), so a delta's row stays feasible from its smallest grid value
     C_min on, and a (t, delta) can only change the row when C* >= C_min.
-    A Cholesky factorization of G + (C_min/t) I certifies C* < C_min
-    without an eigensolve (Golub & Van Loan §4.2); a row with nothing
-    feasible left needs neither.  Otherwise one eigensolve gives C*, which
-    settles every grid C >= C*.  Smaller grid values can still pass within
-    the -tol scale slack; they get fp_check's exact test, largest first,
-    and the scan stops at the first infeasible one.
-
-    H_S and Op(a) come from Taylor stacks in t quantized once per call
-    (TaylorOps).
+    c_star certifies C* < C_min by Cholesky or else gives C*, which settles
+    every grid C >= C*; a row with nothing feasible left needs neither.
+    Smaller grid values can still pass within the -tol scale slack; they
+    get fp_check's exact test, largest first, and the scan stops at the
+    first infeasible one.  H_S and Op(a) come from Taylor stacks in t
+    quantized once per call.
     """
     if deltas is None:
         deltas = [2.0**p for p in range(-7, 1)]
@@ -596,22 +627,18 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
     ok = np.ones((len(deltas), len(Cs)), dtype=bool)
     c_grid = np.asarray(Cs, dtype=float)
     descending = np.argsort(-c_grid, kind="stable")
-    ops = TaylorOps(model, grid)
-    diag = np.diag_indices(3 * grid.N)
+    S = herm_S_layout(TaylorOps(model, grid))
     for t in t_values:
-        H_S, M_J, P = _fp_pieces(ops, t)
+        H_S, M_J, P = _fp_pieces(S, t)
         r = np.diag(P).real ** -0.5
         rr = np.outer(r, r)
         for i, d in enumerate(deltas):
             if not ok[i].any():
                 continue
-            G = rr * (H_S - d * t * M_J)
-            shifted = G.copy()
-            shifted[diag] += np.min(c_grid[ok[i]]) / t
-            if _positive_definite(shifted):
+            cs = c_star(rr * (H_S - d * t * M_J), t, np.min(c_grid[ok[i]]))
+            if cs is None:
                 continue  # C* < C_min: no grid value of this row changes at t
-            lam = float(np.linalg.eigvalsh(G)[0])
-            for j in descending[(c_grid[descending] < -t * lam) & ok[i, descending]]:
+            for j in descending[(c_grid[descending] < cs) & ok[i, descending]]:
                 if not _fp_eval(H_S, M_J, P, t, d, Cs[j], tol).feasible:
                     ok[i, c_grid <= c_grid[j]] = False
                     break

@@ -47,7 +47,6 @@ __all__ = [
     "XI",
     "ZERO",
     "ONE",
-    "const",
     "add",
     "sub",
     "mul",
@@ -370,10 +369,6 @@ class Call(Expr):
 
 # ---------------------------------------------------------------------------
 # simplifying constructors
-
-def const(v):
-    return Const(float(v))
-
 
 ZERO = Const(0.0)
 ONE = Const(1.0)

@@ -272,6 +272,20 @@ def test_bad_model_file_numbers_are_usage_errors(capsys, tmp_path):
             assert captured.out == "" and match in captured.err
 
 
+@pytest.mark.parametrize("text, argv", [
+    ("alpha = 1e308 + 1e308", ["conditions"]),
+    ("alpha = (1 - cos(x))^2\nb10 = 1e308 + 1e308", ["evolve", "--grid-k", "4"]),
+], ids=("alpha", "b10"))
+def test_non_finite_coefficients_are_usage_errors(capsys, tmp_path, text, argv):
+    # 1e308 + 1e308 parses, no literal overflows, but it evaluates to inf; the
+    # verdicts computed from it were nan with exit 2
+    path = tmp_path / "inf.model"
+    path.write_text(text + "\n")
+    assert run(argv + ["--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not finite" in captured.err
+
+
 def test_extend_cli(capsys):
     assert run(["extend", "--model", "g_E"]) == 0
     payload = _json_out(capsys)

@@ -1,6 +1,5 @@
 """Time integration, energy margins, cutoff checks, lifts, sweeps."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -23,19 +22,14 @@ from triplex.evolution import (
     margin_deviation,
     regularize_sweep,
     search_energy_constants,
+    seeded_state,
     taylor_lift,
     window_expr,
 )
 from triplex.models import LowerOrderTerms, ModelError, gallery
-from triplex.quantize import BlockOp, FourierGrid, TaylorOps, block_weyl, op_weyl, operator_norm
+from triplex.quantize import BlockOp, FourierGrid, Layout, block_weyl, op_weyl, operator_norm
 from triplex.symbols import differentiate
 from triplex.symmetrizer import A_entries, S_symbols
-
-
-def _unit_state(grid, seed):
-    rng = np.random.default_rng(seed)
-    U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
-    return U0 / np.linalg.norm(U0)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +54,7 @@ def test_step_converges_at_fourth_order():
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(2, amplitude=0.3)
     grid = FourierGrid(4)
-    U0 = _unit_state(grid, 0)
+    U0 = seeded_state(grid, 0)
     t0, H = 0.2, 0.1
     asm = Assembler(model, lot, grid)
 
@@ -84,7 +78,7 @@ def test_evolve_records_monotone_time_grid():
     model = gallery("g_E")
     grid = FourierGrid(6)
     cfg = EvolveConfig(eps_start=1e-2, T=0.5)
-    trace, U = evolve(model, LowerOrderTerms.zero(), _unit_state(grid, 1), cfg, grid)
+    trace, U = evolve(model, LowerOrderTerms.zero(), seeded_state(grid, 1), cfg, grid)
     assert trace.t[0] == pytest.approx(1e-2)
     assert trace.t[-1] == pytest.approx(0.5, abs=1e-12)
     assert np.all(np.diff(trace.t) > 0)
@@ -93,11 +87,12 @@ def test_evolve_records_monotone_time_grid():
     assert np.all(np.isfinite(trace.E))
 
 
-def test_evolve_flags_runaway_growth():
+def test_evolve_flags_runaway_growth(monkeypatch):
+    monkeypatch.setattr(evolution, "GROWTH_ABORT", 1.0 + 1e-9)
     model = gallery("g_E")
     grid = FourierGrid(4)
-    cfg = EvolveConfig(eps_start=1e-2, T=1.0, growth_abort=1.0 + 1e-9)
-    trace, _ = evolve(model, LowerOrderTerms.zero(), _unit_state(grid, 2), cfg, grid)
+    cfg = EvolveConfig(eps_start=1e-2, T=1.0)
+    trace, _ = evolve(model, LowerOrderTerms.zero(), seeded_state(grid, 2), cfg, grid)
     assert trace.aborted
     assert len(trace.t) >= 1
 
@@ -106,7 +101,7 @@ def test_forced_evolution_adds_energy():
     model = gallery("g_strict")
     grid = FourierGrid(4)
     cfg = EvolveConfig(eps_start=0.1, T=0.6)
-    U0 = _unit_state(grid, 3)
+    U0 = seeded_state(grid, 3)
     F = np.zeros(3 * grid.N, dtype=complex)
     F[grid.K] = 1.0
 
@@ -123,7 +118,7 @@ def test_energy_margins_pass_with_searched_constants():
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(4, amplitude=0.5)
     grid = FourierGrid(8)
-    U0 = _unit_state(grid, 5)
+    U0 = seeded_state(grid, 5)
     consts = search_energy_constants(model, lot, grid, U0=U0)
     cfg = EvolveConfig(n_weight=consts.n_weight, n_star=consts.n_star,
                        gamma=consts.gamma, lam=consts.lam)
@@ -140,7 +135,7 @@ def test_margin_deviation_contracts_with_dt():
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(4, amplitude=0.5)
     grid = FourierGrid(8)
-    U0 = _unit_state(grid, 5)
+    U0 = seeded_state(grid, 5)
     consts = search_energy_constants(model, lot, grid, U0=U0)
 
     def run(scale):
@@ -168,10 +163,10 @@ def test_exact_energy_rate_matches_centred_differences(name, lot_seed, t, lam, f
     model = gallery("g_ex22", m=8) if name == "g_ex22:m=8" else gallery(name)
     grid = FourierGrid(4)
     asm = Assembler(model, LowerOrderTerms.random_trig(lot_seed), grid)
-    U = _unit_state(grid, lot_seed)
+    U = seeded_state(grid, lot_seed)
     F = None
     if forced:
-        f = 0.3 * _unit_state(grid, lot_seed + 1)
+        f = 0.3 * seeded_state(grid, lot_seed + 1)
         F = lambda tt: (1.0 + tt) * f
     dU = evolution._slope(asm.apply, F)(t, U)
     Q, dQ = asm.energy_rate(t, U, dU, lam)
@@ -207,7 +202,7 @@ _RK4_ERROR = pytest.mark.xfail(strict=True, reason=(
 def test_exact_n_star_agrees_with_the_fine_step_finite_difference(name, K, seed):
     model, grid = gallery(name), FourierGrid(K)
     lot = LowerOrderTerms.random_trig(seed)
-    U0 = _unit_state(grid, seed + 100)
+    U0 = seeded_state(grid, seed + 100)
     consts = search_energy_constants(model, lot, grid, U0=U0)
     assert energy_margins(consts.trace).min_margin >= 0.0
     ref = _finite_difference_n_star(model, lot, grid, U0, consts.lam)
@@ -218,7 +213,7 @@ def test_constants_come_with_their_own_run():
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(4, amplitude=0.5)
     grid = FourierGrid(8)
-    U0 = _unit_state(grid, 5)
+    U0 = seeded_state(grid, 5)
     consts = search_energy_constants(model, lot, grid, U0=U0)
     cfg = EvolveConfig(n_weight=consts.n_weight, n_star=consts.n_star, gamma=consts.gamma,
                        lam=consts.lam)
@@ -248,16 +243,19 @@ def test_a_sweep_row_integrates_its_state_once(monkeypatch):
     assert starts[0] == pytest.approx(1e-2) and np.all(np.diff(starts) > 0)
 
 
+def test_a_nan_energy_gives_no_constants():
+    # nan fails every comparison, so it passes a test for Q <= 0; N* came out 0
+    grid = FourierGrid(4)
+    U0 = np.full(3 * grid.N, np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="not positive"):
+        search_energy_constants(gallery("g_E"), None, grid, U0=U0)
+
+
 def test_a_run_that_blows_up_gives_unbounded_constants(monkeypatch):
-    real = evolution.evolve
-
-    def evolve_with_abort(model, lot, U0, cfg, grid, **kwargs):
-        # any step aborts: the norm always exceeds half the last one
-        return real(model, lot, U0, dataclasses.replace(cfg, growth_abort=0.5), grid, **kwargs)
-
-    monkeypatch.setattr(evolution, "evolve", evolve_with_abort)
+    # any step aborts: the norm always exceeds half the last one
+    monkeypatch.setattr(evolution, "GROWTH_ABORT", 0.5)
     grid = FourierGrid(6)
-    consts = search_energy_constants(gallery("g_E"), None, grid, U0=_unit_state(grid, 2))
+    consts = search_energy_constants(gallery("g_E"), None, grid, U0=seeded_state(grid, 2))
     assert consts.trace.aborted and len(consts.trace.t) == 1
     assert consts.n_star == consts.n_weight == math.inf
     rep = regularize_sweep(gallery("g_E"), None, (1e-1,), grid_k=6, seed=0)
@@ -268,7 +266,7 @@ def test_a_run_that_blows_up_gives_unbounded_constants(monkeypatch):
 def test_symbols_are_quantized_on_first_use():
     grid = FourierGrid(4)
     asm = Assembler(gallery("g_E"), LowerOrderTerms.random_trig(1), grid)
-    U = _unit_state(grid, 1)
+    U = seeded_state(grid, 1)
     assert asm.ops._stacks == {}
     asm.apply(0.5, U)
     assert "a" in asm.ops._stacks and "a2" not in asm.ops._stacks
@@ -279,7 +277,7 @@ def test_symbols_are_quantized_on_first_use():
 def test_margin_report_integral_form():
     model = gallery("g_strict")
     grid = FourierGrid(6)
-    trace, _ = evolve(model, None, _unit_state(grid, 6),
+    trace, _ = evolve(model, None, seeded_state(grid, 6),
                       EvolveConfig(eps_start=0.05, T=0.8), grid)
     rep = energy_margins(trace)
     assert rep.int_defect >= 0.0
@@ -510,7 +508,7 @@ def test_assembler_matches_direct_quantization():
         assert np.allclose(cached, direct, atol=1e-11 * operator_norm(direct))
         # the energy matrix against S quantized afresh at t
         H_S = _direct_herm_S(model, t, grid)
-        assert np.allclose(asm.ops.herm_S(t), H_S, atol=1e-13 * operator_norm(H_S))
+        assert np.allclose(asm.S(t), H_S, atol=1e-13 * operator_norm(H_S))
 
 
 GALLERY = ("g_strict", "g_zero_b", "g_E", "g_ex21p", "g_ex21m", "g_ex22")
@@ -546,7 +544,7 @@ def test_energy_form_matches_the_dense_energy(name):
     jp_inv2 = np.concatenate([grid.jp_values**-2.0] * 3)
     for t in (0.1, 0.7):
         for lam in (0.0, 2.0):
-            Stilde = asm.ops.herm_S(t) + np.diag((lam / t) * jp_inv2)
+            Stilde = asm.S(t) + np.diag((lam / t) * jp_inv2)
             for col in range(V.shape[1]):
                 u = V[:, col]
                 dense = float(np.real(np.vdot(u, Stilde @ u)))
@@ -555,50 +553,91 @@ def test_energy_form_matches_the_dense_energy(name):
             assert np.allclose(asm.energy_form(t, V, lam), cols, rtol=1e-13, atol=0.0)
 
 
+def _lam_by_eigensolves(model, grid, eps_start, T):
+    """The energy shift as the constants search took it before c_star: 7 dense
+    eigensolves of <D> Herm Op(S) <D>, lam = 2^ceil(log2(2 lam_need))."""
+    S = Assembler(model, None, grid).S
+    jp = np.concatenate([grid.jp_values] * 3)
+    lam_need = 0.0
+    for t in np.geomspace(eps_start, T, 7):
+        sym = jp[:, None] * S(t) * jp[None, :]
+        lam_need = max(lam_need, 2.0 * t * max(0.0, -float(np.linalg.eigvalsh(sym)[0])))
+    return 2.0 ** math.ceil(math.log2(2.0 * lam_need)) if lam_need > 0 else 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(GALLERY),
+       m=st.integers(3, 8), K=st.integers(2, 8), eps_start=st.floats(1e-3, 0.2),
+       T=st.floats(0.3, 1.0))
+def test_energy_shift_matches_the_eigensolve_loop(name, m, K, eps_start, T):
+    # m = 7 and 8 put g_ex22 past the Taylor cap, on the per-t path
+    model = gallery(name, m=m) if name == "g_ex22" else gallery(name)
+    grid = FourierGrid(K)
+    consts = search_energy_constants(model, None, grid, eps_start=eps_start, T=T)
+    assert consts.lam == _lam_by_eigensolves(model, grid, eps_start, T)
+
+
+@pytest.mark.parametrize("K", (8, 16))
+def test_energy_shift_needs_no_eigensolve_on_the_gallery(monkeypatch, K):
+    # Herm Op(S) + (C/t) <D>^-2 is positive at C = 0 on every gallery model, so a
+    # Cholesky factorization settles each of the 7 times
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name in GALLERY:
+        grid = FourierGrid(K, gallery(name).period)
+        consts = search_energy_constants(gallery(name), LOTS["trig"], grid)
+        assert consts.lam == 1.0
+    assert calls == []
+
+
 def test_non_polynomial_symbols_fall_back_to_the_dense_path():
     # b = (t^8/2 - t)(1 - cos x) has degree 8, beyond the Taylor cap of 6
     model = gallery("g_ex22", m=8)
     lot = LOTS["trig"]
     grid = FourierGrid(6)
     asm = Assembler(model, lot, grid)
-    assert asm._row_stack is None and asm.ops.S_stack is None
+    assert asm.R.stack is None and asm.S.stack is None
     rng = np.random.default_rng(16)
     V = rng.standard_normal((3 * grid.N, 2)) + 1j * rng.standard_normal((3 * grid.N, 2))
     for t in (0.1, 0.7):
         direct = _direct_generator(model, lot, t, grid)
         assert _rel(asm.apply(t, V), direct @ V) <= 1e-13
         H_S = _direct_herm_S(model, t, grid)
-        assert _rel(asm.ops.herm_S(t), H_S) <= 1e-13
+        assert _rel(asm.S(t), H_S) <= 1e-13
         u = V[:, 0]
         assert asm.energy_form(t, u) == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
         assert _rel(asm.row(t), direct[: grid.N]) <= 1e-13
-    # an RK4 step asks for three times; the rows of the last two are kept
+    assert sorted(asm.S._recent) == [0.1, 0.7]
+    # an RK4 step asks for three times; the layout keeps R of the last two
     _rk4(V, 0.2, 0.1, asm.apply)
-    assert sorted(asm._rows) == [0.2 + 0.05, 0.2 + 0.1]
+    assert sorted(asm.R._recent) == [0.2 + 0.05, 0.2 + 0.1]
 
 
 def test_taylor_stacks_cover_polynomials_up_to_the_cap():
     grid = FourierGrid(4)
-    assert Assembler(gallery("g_ex22", m=6), None, grid)._row_stack is not None
-    assert Assembler(gallery("g_ex22", m=7), None, grid)._row_stack is None
+    asm = Assembler(gallery("g_ex22", m=6), None, grid)
+    assert asm.R.stack is not None and asm.S.stack is not None
+    asm = Assembler(gallery("g_ex22", m=7), None, grid)
+    assert asm.R.stack is None and asm.S.stack is None
 
 
 def test_polynomial_models_evolve_without_dense_matrices(monkeypatch):
     def dense(*args):
-        raise AssertionError("dense 3N x 3N matrix built on the RK4 path")
+        raise AssertionError("dense matrix built on the RK4 path")
 
-    def herm_S_product(self, t, V=None):
-        return dense() if V is None or self.S_stack is None else real_herm_S(self, t, V)
+    def product_only(self, t, V=None):
+        return dense() if V is None else real_call(self, t, V)
 
-    real_herm_S = TaylorOps.herm_S
-    monkeypatch.setattr(Assembler, "_quantized_row", dense)
-    monkeypatch.setattr(TaylorOps, "herm_S", herm_S_product)
+    real_call = Layout.__call__
+    monkeypatch.setattr(Layout, "_at", dense)
+    monkeypatch.setattr(Layout, "__call__", product_only)
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(17, amplitude=0.4)
     grid = FourierGrid(8)
     F = np.zeros(3 * grid.N, dtype=complex)
     F[grid.K] = 1.0
-    trace, _ = evolve(model, lot, _unit_state(grid, 18), EvolveConfig(T=0.5, lam=2.0), grid,
+    trace, _ = evolve(model, lot, seeded_state(grid, 18), EvolveConfig(T=0.5, lam=2.0), grid,
                       F=lambda t: F)
     assert np.all(np.isfinite(trace.E)) and np.all(trace.Fterm > 0)
     assert np.isfinite(loss_probe(model, lot, grid, EvolveConfig(T=0.5), (2, 4)).exponent)
@@ -628,18 +667,18 @@ def test_integration_past_the_model_horizon_is_rejected():
     grid = FourierGrid(4)
     cfg = EvolveConfig(T=3.0)
     with pytest.raises(ValueError, match="horizon"):
-        evolve(model, None, _unit_state(grid, 19), cfg, grid)
+        evolve(model, None, seeded_state(grid, 19), cfg, grid)
     with pytest.raises(ValueError, match="horizon"):
         loss_probe(model, None, grid, cfg, (1, 2))
     with pytest.raises(ValueError, match="horizon"):
         search_energy_constants(model, None, grid, T=3.0)
     with pytest.raises(ValueError, match="eps_start < T"):
-        evolve(model, None, _unit_state(grid, 19), EvolveConfig(T=math.nan), grid)
+        evolve(model, None, seeded_state(grid, 19), EvolveConfig(T=math.nan), grid)
     with pytest.raises(ValueError, match="finite"):
         search_energy_constants(model, None, grid, T=math.inf)
     for bad in (dict(eps_start=math.nan), dict(dt=math.nan), dict(dt=math.inf)):
         with pytest.raises(ValueError, match="eps_start|dt"):
             search_energy_constants(model, None, grid, **bad)
     longer = gallery("g_E", T=2.0)
-    trace, _ = evolve(longer, None, _unit_state(grid, 19), EvolveConfig(T=1.5), grid)
+    trace, _ = evolve(longer, None, seeded_state(grid, 19), EvolveConfig(T=1.5), grid)
     assert trace.t[-1] == pytest.approx(1.5)

@@ -16,6 +16,7 @@ from triplex.quantize import (
     FourierGrid,
     default_bump,
     block_weyl,
+    c_star,
     fp_check,
     fp_search,
     friedrichs_part,
@@ -289,6 +290,20 @@ def test_fp_search_certifies_most_t_and_delta_without_an_eigensolve(monkeypatch)
         assert len(calls) <= 16
         total += len(calls)
     assert total > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(diag=st.lists(st.integers(-8, 8), min_size=1, max_size=6),
+       floor=st.integers(-8, 8), t=st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+def test_c_star_is_exact_or_certified_below_the_floor(diag, floor, t):
+    # dyadic entries: C* = -t min(diag) and every shifted pivot are exact
+    G = np.diag(np.asarray(diag, dtype=float)).astype(complex)
+    exact = -t * min(diag)
+    got = c_star(G, t, float(floor))
+    if exact < floor:
+        assert got is None
+    else:
+        assert got == exact
 
 
 def test_fp_search_reports_infeasible_grid():

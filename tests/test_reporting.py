@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from triplex.evolution import EvolveConfig, evolve, energy_margins
+from triplex.evolution import EvolveConfig, evolve, energy_margins, seeded_state
 from triplex.models import gallery
 from triplex.quantize import FourierGrid
 from triplex.reporting import (
@@ -110,9 +110,7 @@ def test_line_plot_rejects_bad_input():
 
 def test_emit_plot_dispatches_and_writes(tmp_path):
     grid = FourierGrid(4)
-    rng = np.random.default_rng(0)
-    U0 = rng.standard_normal(3 * grid.N) + 1j * rng.standard_normal(3 * grid.N)
-    trace, _ = evolve(gallery("g_strict"), None, U0 / np.linalg.norm(U0),
+    trace, _ = evolve(gallery("g_strict"), None, seeded_state(grid, 0),
                       EvolveConfig(eps_start=0.1, T=0.5), grid)
     path = tmp_path / "energy.svg"
     svg = emit_plot(trace, str(path))
