@@ -66,9 +66,9 @@ def _model_points(model, rng, n):
     t = rng.uniform(1e-3, model.T, n)
     x = rng.uniform(0.0, model.period, n)
     xi = rng.uniform(-64.0, 64.0, n)
-    alpha = np.broadcast_to(model.eval_alpha(x, xi), (n,)).astype(float)
-    a = np.broadcast_to(model.eval_a(t, x, xi), (n,)).astype(float)
-    b = np.broadcast_to(model.eval_b(t, x, xi), (n,)).astype(float)
+    alpha = np.broadcast_to(model.alpha.evaluate(0.0, x, xi), (n,)).astype(float)
+    a = np.broadcast_to(model.a_expr.evaluate(t, x, xi), (n,)).astype(float)
+    b = np.broadcast_to(model.b.evaluate(t, x, xi), (n,)).astype(float)
     return t, alpha, a, b, np.sqrt(1.0 + xi**2)
 
 

@@ -355,12 +355,14 @@ def _cmd_evolve(args):
     cfg = EvolveConfig(eps_start=args.eps_start, T=args.t1, dt=args.dt,
                        n_weight=n_weight, n_star=min(n_star, n_weight),
                        gamma=args.gamma, lam=lam)
-    cfg.validate()
     if searched is not None and lam == consts.lam:
-        # the constants run is this run: same U0, step and lam; only E's weight differs
+        # the constants run is this run: same U0, step and lam; only E's weight differs.
+        # A search whose run blew up gives N = N* = inf, and there is no energy to weigh.
+        if not (consts.trace.aborted and args.n_weight is None):
+            cfg.validate()
         trace = dataclasses.replace(consts.trace, n_weight=cfg.n_weight, n_star=cfg.n_star)
     else:
-        trace, _ = evolve(model, lot, U0, cfg, grid)
+        trace, _ = evolve(model, lot, U0, cfg, grid)  # validates cfg
     verdicts = {"aborted": trace.aborted}
     artifacts = [("trace.csv", lambda path: _write_text(path, reporting.energy_csv_text(trace)))]
     ok = not trace.aborted

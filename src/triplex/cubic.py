@@ -172,6 +172,8 @@ def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     """
     if which not in ("H", "E"):
         raise ValueError("which must be 'H' or 'E'")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be a finite number, got {delta}")
     if grid is None:
         grid = default_condition_grid(model)
     if np.any(grid.t_vals <= 0):
@@ -206,12 +208,12 @@ def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     )
 
 
-def check_beta1_bound(model: HyperbolicModel, grid=None, eps=0.1, t_small=None):
+def check_beta1_bound(model: HyperbolicModel, grid=None, eps=0.1):
     """Sufficient criterion for (E): |beta1| <= ((1 - eps)/sqrt 3) sqrt(alpha).
 
     beta1 = d b/d t at t = 0.  delta_best reports the largest admissible eps
     (1 - sqrt(3) * sup |beta1|/sqrt(alpha)); holds means delta_best >= eps.
-    When the bound holds the report cross-checks condition (E) on t <= t_small.
+    When the bound holds the report cross-checks condition (E) on t <= 0.1 T.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -233,10 +235,8 @@ def check_beta1_bound(model: HyperbolicModel, grid=None, eps=0.1, t_small=None):
     holds = eps_best >= eps
     extras = {"sup_beta1_over_sqrt_alpha": sup_ratio}
     if holds:
-        if t_small is None:
-            t_small = 0.1 * model.T
         small = Grid3(
-            t_vals=np.linspace(1e-3 * model.T, t_small, 16),
+            t_vals=np.linspace(1e-3 * model.T, 0.1 * model.T, 16),
             x_vals=grid.x_vals,
             xi_vals=grid.xi_vals,
         )
@@ -266,10 +266,10 @@ class DerivativeBoundReport:
     points_used: int
 
 
-def glaeser_bounds(model: HyperbolicModel, grid=None, a_floor=1e-8):
+def glaeser_bounds(model: HyperbolicModel, grid=None):
     """Measured Glaeser-type ratios for b against powers of a.
 
-    Returns the suprema over grid points with a > a_floor of
+    Returns the suprema over grid points with a > 1e-8 of
     |d_t b| / sqrt(a), max(|d_x b|, |d_xi b|) / a and the second
     (x, xi)-derivative magnitudes / sqrt(a).
     """
@@ -290,7 +290,7 @@ def glaeser_bounds(model: HyperbolicModel, grid=None, a_floor=1e-8):
     bxxi = ev(differentiate(differentiate(model.b, "x", 1), "xi", 1))
     bxixi = ev(differentiate(model.b, "xi", 2))
 
-    mask = a > a_floor
+    mask = a > 1e-8
     sqrt_a = np.sqrt(a[mask])
     sup_bt = float(np.max(np.abs(bt[mask]) / sqrt_a)) if mask.any() else 0.0
     first = np.maximum(np.abs(bx[mask]), np.abs(bxi[mask]))

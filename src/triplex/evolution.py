@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class EvolveConfig:
     eps_start: float = 1e-2
     T: float = 1.0
     dt: float | None = None          # fixed step; None derives it from cfl
-    cfl: float = 0.5
+    cfl: ClassVar[float] = 0.5
     dt_scale: float = 1.0            # halve for convergence checks
     n_weight: float = 1.0
     n_star: float = 0.0
@@ -52,6 +53,10 @@ class EvolveConfig:
     def validate(self):
         if not 0 < self.eps_start < self.T:
             raise ValueError("need 0 < eps_start < T")
+        for name in ("gamma", "lam", "n_weight", "n_star"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.n_weight <= 0:
             raise ValueError("weight exponent must be positive")
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -100,10 +105,6 @@ class Assembler:
     def cfl_dt(self, cfl=0.5):
         max_a = self.model.report.max_a if self.model.report else 1.0
         return cfl / ((math.sqrt(max(max_a, 0.0)) + 1.0) * float(np.max(self._jp)))
-
-    def row(self, t):
-        """M(t)'s first block row R(t), N x 3N; the rest of M are the <D> shifts."""
-        return self.R(t)
 
     def apply(self, t, V):
         """M(t) @ V for V of shape (3N,) or (3N, nb), from R(t) and the <D> shifts."""
@@ -540,7 +541,7 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
     chi_{nu/2} M^H M chi_{nu/2}, and the commutator is chi_nu R - R chi_nu.
     """
     N = grid.N
-    R = Assembler(model, lot, grid).row(t)
+    R = Assembler(model, lot, grid).R(t)
     Rh = R.conj().T
     freqs_abs = np.abs(np.concatenate([grid.freqs] * 3))
     shift_sq = np.concatenate([grid.jp_values**2] * 2 + [np.zeros(N)])  # M^H M - R^H R
@@ -606,15 +607,15 @@ class ExtensionReport:
     delta_global: float
 
 
-def extend_model(local: HyperbolicModel, window, M=None, beta_scale=35.0,
-                 xi_range=(1.0, 64.0), delta_floor=1e-8):
+def extend_model(local: HyperbolicModel, window, delta_floor=1e-8):
     """Extend a model satisfying (E) on an x-window to the whole torus.
 
     Uses alpha_ext = chi1 alpha + M chi2 and b_ext = chi1 b with nested
     plateaus chi1 (1 inside, 0 outside the window) and chi2 (0 well inside,
     1 outside).  M is the smallest power of two with
     4 M^3 c0^3 >= 27 sup(chi1 b)^2, keeping the cut region strictly
-    hyperbolic.  The result must pass condition (E) globally.
+    hyperbolic.  The result must pass condition (E) globally; both checks
+    sample xi in [1, 64].
     """
     lo, hi = window
     if not hi > lo:
@@ -623,7 +624,7 @@ def extend_model(local: HyperbolicModel, window, M=None, beta_scale=35.0,
     r = 0.5 * (hi - lo)
 
     nxi = 9
-    xi_vals = np.geomspace(xi_range[0], xi_range[1], nxi)
+    xi_vals = np.geomspace(1.0, 64.0, nxi)
     local_grid = Grid3(
         t_vals=np.linspace(1e-3 * local.T, local.T, 48),
         x_vals=np.linspace(lo, hi, 48),
@@ -636,8 +637,8 @@ def extend_model(local: HyperbolicModel, window, M=None, beta_scale=35.0,
             f"(delta_best = {rep_local.delta_best:.3e})"
         )
 
-    chi1 = window_expr(c, 0.75 * r, r, beta_scale)
-    chi2 = Const(1.0) - window_expr(c, 0.5 * r, 0.75 * r, beta_scale)
+    chi1 = window_expr(c, 0.75 * r, r)
+    chi2 = Const(1.0) - window_expr(c, 0.5 * r, 0.75 * r)
 
     b_cut = chi1 * local.b
     tgrid = np.linspace(0.0, local.T, 33)
@@ -650,11 +651,10 @@ def extend_model(local: HyperbolicModel, window, M=None, beta_scale=35.0,
         )
     )
     sup_b = float(np.max(vals))
-    if M is None:
-        M = 1.0
-        while 4.0 * M**3 * local.c0**3 < 27.0 * sup_b**2:
-            M *= 2.0
-    alpha_ext = chi1 * local.alpha + Const(float(M)) * chi2
+    M = 1.0
+    while 4.0 * M**3 * local.c0**3 < 27.0 * sup_b**2:
+        M *= 2.0
+    alpha_ext = chi1 * local.alpha + Const(M) * chi2
     ext = build_model(
         alpha_ext,
         atilde=local.atilde,
@@ -669,7 +669,7 @@ def extend_model(local: HyperbolicModel, window, M=None, beta_scale=35.0,
         raise ModelError(
             f"extension fails (E) globally (delta_best = {rep_global.delta_best:.3e})"
         )
-    return ExtensionReport(model=ext, M=float(M), delta_local=rep_local.delta_best,
+    return ExtensionReport(model=ext, M=M, delta_local=rep_local.delta_best,
                            delta_global=rep_global.delta_best)
 
 

@@ -74,15 +74,6 @@ class HyperbolicModel:
         """Symbol a = (t + alpha) * atilde."""
         return (T + self.alpha) * self.atilde
 
-    def eval_alpha(self, x, xi):
-        return self.alpha.evaluate(0.0, x, xi)
-
-    def eval_a(self, t, x, xi):
-        return (t + self.alpha.evaluate(0.0, x, xi)) * self.atilde.evaluate(t, x, xi)
-
-    def eval_b(self, t, x, xi):
-        return self.b.evaluate(t, x, xi)
-
     def with_alpha(self, eps):
         """The model with alpha replaced by alpha + eps, named g_eps(name,eps)."""
         return build_model(
@@ -109,8 +100,9 @@ class LowerOrderTerms:
         return LowerOrderTerms(ZERO, ZERO, ZERO)
 
     @staticmethod
-    def random_trig(seed, amplitude=1.0, modes=2):
-        """Seeded random real trig polynomials in x with sup norm <= amplitude."""
+    def random_trig(seed, amplitude=1.0):
+        """Seeded random real trig polynomials in x of degree 2 with sup norm <= amplitude."""
+        modes = 2
         rng = np.random.default_rng(seed)
         exprs = []
         for _ in range(3):
@@ -135,11 +127,11 @@ def _coerce(expr):
     raise TypeError(f"expected an expression or string, got {type(expr).__name__}")
 
 
-def default_validation_grid(T=1.0, period=TWO_PI, nt=64, nx=64, nxi=17):
-    """Validation grid: t in [0, T], one torus period in x, xi log-spaced in [1, 64]."""
-    t = np.linspace(0.0, T, nt)
-    x = np.linspace(0.0, period, nx, endpoint=False)
-    xi = np.logspace(0.0, math.log10(64.0), nxi)
+def default_validation_grid(T=1.0, period=TWO_PI):
+    """Validation grid: 64 t in [0, T], 64 x over one torus period, 17 xi log-spaced in [1, 64]."""
+    t = np.linspace(0.0, T, 64)
+    x = np.linspace(0.0, period, 64, endpoint=False)
+    xi = np.logspace(0.0, math.log10(64.0), 17)
     return t, x, xi
 
 
@@ -155,11 +147,10 @@ def _grid_values(name, expr, t, x, xi):
     return vals
 
 
-def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, grid=None,
-                name="custom"):
+def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, name="custom"):
     """Validate and build a model from coefficient expressions.
 
-    alpha must not depend on t; on the validation grid alpha, atilde and b
+    alpha must not depend on t; on default_validation_grid alpha, atilde and b
     must be finite, atilde >= c0 and alpha >= 0, and the discriminant
     4 a^3 - 27 b^2 must stay above -tol_val * (1 + |a|^3) with tol_val =
     1e-10.  Violations raise with a witness point.
@@ -176,9 +167,7 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, grid=Non
     if not 0 < period < math.inf:
         raise ModelError("period must be positive and finite")
 
-    if grid is None:
-        grid = default_validation_grid(T=T, period=period)
-    t_vals, x_vals, xi_vals = (np.asarray(g, dtype=float) for g in grid)
+    t_vals, x_vals, xi_vals = default_validation_grid(T=T, period=period)
     tg = t_vals[:, None, None]
 
     alpha_vals = _grid_values("alpha", alpha, np.zeros(1), x_vals, xi_vals)  # alpha has no t

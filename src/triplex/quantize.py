@@ -24,7 +24,10 @@ friedrichs_part builds the symmetrized positive part
 
 quantized as M[k, k'] = (1/N) sum_j e^(-i x_j (k - k') w0) p_F(k, x_j, k').
 Because the zeta quadrature has positive weights, the result is positive
-semidefinite whenever the symbol matrix is PSD at the sample points.
+semidefinite whenever the symbol matrix is PSD at the sample points, at
+every rule size.  So the positivity defect max(0, -min eig) gives no
+signal for refining the rule, and one fixed rule of FRIEDRICHS_PPU points
+per unit is used; a test pins it against a rule twice as fine.
 
 The contraction is banded.  F(xi, .) vanishes outside |zeta - xi| <
 support jp(xi)^(1/2), and the rule's nodes are sorted, so row k needs only
@@ -343,12 +346,6 @@ def _read_only(*arrays):
     return arrays
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre_unit():
-    """400-point rule on [-1, 1] for normalization integrals, computed once."""
-    return _read_only(*np.polynomial.legendre.leggauss(400))
-
-
 @dataclass(frozen=True)
 class Bump:
     """Even C^infinity window on (-support, support) with unit L^2 norm."""
@@ -356,24 +353,13 @@ class Bump:
     fn: object
     support: float = 1.0
 
-    def l2_norm_sq(self):
-        nodes, weights = _gauss_legendre_unit()
-        v = self.fn(nodes * self.support) ** 2
-        return float(np.sum(weights * v) * self.support)
 
-
-_DEFAULT_BUMP = None
-
-
+@functools.lru_cache(maxsize=None)
 def default_bump():
     """c exp(-1/(1 - sigma^2)) on |sigma| < 1, normalized to unit L^2 norm."""
-    global _DEFAULT_BUMP
-    if _DEFAULT_BUMP is None:
-        nodes, weights = _gauss_legendre_unit()
-        norm_sq = float(np.sum(weights * _bump_raw(nodes) ** 2))
-        c = 1.0 / math.sqrt(norm_sq)
-        _DEFAULT_BUMP = Bump(fn=lambda s, c=c: c * _bump_raw(s))
-    return _DEFAULT_BUMP
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    c = 1.0 / math.sqrt(float(np.sum(weights * _bump_raw(nodes) ** 2)))
+    return Bump(fn=lambda s: c * _bump_raw(s))
 
 
 @functools.lru_cache(maxsize=64)
@@ -446,42 +432,24 @@ def _friedrichs_matrix(entries, t, grid, bump, points_per_unit):
     return out
 
 
-FRIEDRICHS_PPU = 33
-FRIEDRICHS_DEFECT_TOL = 1e-9
-FRIEDRICHS_DOUBLINGS = 3
+FRIEDRICHS_PPU = 66
 
 
-def friedrichs_part(entries, t, grid, bump=None):
+def friedrichs_part(entries, t, grid):
     """Quantized Friedrichs part of a (possibly matrix) symbol.
 
     entries is a nested list of symbol expressions, square.  The zeta
-    integral uses a composite Gauss-Legendre rule with FRIEDRICHS_PPU points
-    per unit interval over the union of window supports.  The rule is
-    doubled until the positivity defect max(0, -min eig) changes by less
-    than FRIEDRICHS_DEFECT_TOL (absolute, on the Hermitian part), at most
-    FRIEDRICHS_DOUBLINGS times.
+    integral uses one composite Gauss-Legendre rule with FRIEDRICHS_PPU
+    points per unit interval over the union of window supports.  No
+    refinement loop is needed: the rule's weights are positive, so a
+    symbol that is PSD at the sample points gives a positivity defect
+    max(0, -min eig) of 0 at every rule size, and a defect-driven loop
+    would never refine.  Tests pin the rule against one twice as fine.
     """
-    if bump is None:
-        bump = default_bump()
-    norm_sq = bump.l2_norm_sq()
-    if abs(norm_sq - 1.0) > 1e-8:
-        raise ValueError(f"bump is not L^2-normalized: int q^2 = {norm_sq:.12f}")
     if isinstance(entries, Expr):
         entries = [[entries]]
-    b = len(entries)
-
-    ppu = FRIEDRICHS_PPU
-    mat = _friedrichs_matrix(entries, t, grid, bump, ppu)
-    defect = max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0]))
-    for _ in range(FRIEDRICHS_DOUBLINGS):
-        ppu *= 2
-        mat2 = _friedrichs_matrix(entries, t, grid, bump, ppu)
-        defect2 = max(0.0, -float(np.linalg.eigvalsh(0.5 * (mat2 + mat2.conj().T))[0]))
-        converged = abs(defect2 - defect) < FRIEDRICHS_DEFECT_TOL
-        mat, defect = mat2, defect2
-        if converged:
-            break
-    return BlockOp(mat, grid, blocks=b)
+    mat = _friedrichs_matrix(entries, t, grid, default_bump(), FRIEDRICHS_PPU)
+    return BlockOp(mat, grid, blocks=len(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +493,7 @@ def operator_norm(matrix):
     return math.sqrt(max(top_eigenvalue(gram, m.shape[1]), 0.0))
 
 
-def sgarding_residual(entries, t, K_list, period=2.0 * math.pi, bump=None):
+def sgarding_residual(entries, t, K_list, period=2.0 * math.pi):
     """Norms of (Q_F - Op^w(Q)) jp across truncation sizes.
 
     The residual is order -1, so composing with the weight jp should stay
@@ -534,7 +502,7 @@ def sgarding_residual(entries, t, K_list, period=2.0 * math.pi, bump=None):
     out = {}
     for K in K_list:
         grid = FourierGrid(K, period)
-        qf = friedrichs_part(entries, t, grid, bump=bump)
+        qf = friedrichs_part(entries, t, grid)
         qw = block_weyl(entries, t, grid)
         resid = (qf.matrix - qw.matrix) * np.tile(grid.jp_values, qf.blocks)
         out[K] = operator_norm(resid)
@@ -558,20 +526,27 @@ def _fp_pieces(S, t):
     return S(t), M_J, P
 
 
-def fp_check(model, t, grid, delta, C, tol=1e-8):
-    """Sharp lower bound test: Herm(Op(S)) - delta t J_op + C t^-1 jp^-2 >= -tol scale."""
+# feasibility slack of fp_check and fp_search alike: min eig >= -FP_TOL scale
+FP_TOL = 1e-8
+
+
+def fp_check(model, t, grid, delta, C):
+    """Sharp lower bound test: Herm(Op(S)) - delta t J_op + C t^-1 jp^-2 >= -FP_TOL scale."""
     if not t > 0:
         raise ValueError("fp_check needs t > 0")
-    return _fp_eval(*_fp_pieces(herm_S_layout(TaylorOps(model, grid)), t), t, delta, C, tol)
+    for name, value in (("delta", delta), ("C", C)):
+        if not math.isfinite(value):
+            raise ValueError(f"fp_check needs a finite {name}, got {value}")
+    return _fp_eval(*_fp_pieces(herm_S_layout(TaylorOps(model, grid)), t), t, delta, C)
 
 
-def _fp_eval(H_S, M_J, P, t, delta, C, tol):
+def _fp_eval(H_S, M_J, P, t, delta, C):
     H = H_S - delta * t * M_J + (C / t) * P
     eigs = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     scale = 1.0 + float(np.max(np.abs(eigs)))
     min_eig = float(eigs[0])
     return FpCheckResult(delta=float(delta), C=float(C), min_eig=min_eig, scale=scale,
-                         feasible=bool(min_eig >= -tol * scale))
+                         feasible=bool(min_eig >= -FP_TOL * scale))
 
 
 def c_star(G, t, floor):
@@ -600,7 +575,7 @@ class FpSearchResult:
     Cs: tuple
 
 
-def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
+def fp_search(model, t_values, grid, deltas=None, Cs=None):
     """Search the (delta, C) log-grids for pairs feasible at every t.
 
     deltas default to 2^-7..2^0, Cs to 2^0..2^14.  best is the feasible
@@ -613,7 +588,7 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
     C_min on, and a (t, delta) can only change the row when C* >= C_min.
     c_star certifies C* < C_min by Cholesky or else gives C*, which settles
     every grid C >= C*; a row with nothing feasible left needs neither.
-    Smaller grid values can still pass within the -tol scale slack; they
+    Smaller grid values can still pass within the -FP_TOL scale slack; they
     get fp_check's exact test, largest first, and the scan stops at the
     first infeasible one.  H_S and Op(a) come from Taylor stacks in t
     quantized once per call.
@@ -639,7 +614,7 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None, tol=1e-8):
             if cs is None:
                 continue  # C* < C_min: no grid value of this row changes at t
             for j in descending[(c_grid[descending] < cs) & ok[i, descending]]:
-                if not _fp_eval(H_S, M_J, P, t, d, Cs[j], tol).feasible:
+                if not _fp_eval(H_S, M_J, P, t, d, Cs[j]).feasible:
                     ok[i, c_grid <= c_grid[j]] = False
                     break
     pairs = [(deltas[i], Cs[j]) for i in range(len(deltas)) for j in range(len(Cs)) if ok[i, j]]

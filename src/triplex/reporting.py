@@ -286,6 +286,4 @@ def emit_plot(obj, path):
         return line_plot([Series(eps, vals, "delta_best", marker=True)], path,
                          title="regularization sweep", xlabel="eps",
                          ylabel="delta_best", logx=True)
-    if isinstance(obj, tuple) and len(obj) == 2:
-        return line_plot([Series(obj[0], obj[1])], path, xlabel="x", ylabel="y")
     raise TypeError(f"no plot rendering for {type(obj).__name__}")

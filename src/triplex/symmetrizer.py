@@ -131,8 +131,8 @@ def pointwise_delta(S, a, t):
     return np.where(ok, lam, np.where(t > 0, 0.0, np.inf))
 
 
-def lower_bound_delta(model: HyperbolicModel, grid, tol=1e-10):
-    """Largest delta with S - 2 delta t J >= -tol * scale on the whole grid.
+def lower_bound_delta(model: HyperbolicModel, grid):
+    """Largest delta with S - 2 delta t J >= -tol * scale on the whole grid, tol = 1e-10.
 
     Returns 0 when the exact-tolerance test fails at delta = 1e-8;
     feasible_at_one is the same test at delta = 1.  Otherwise the value is
@@ -142,6 +142,7 @@ def lower_bound_delta(model: HyperbolicModel, grid, tol=1e-10):
     congruence with the positive diagonal D = 2 t J, S - delta D >= 0
     exactly when delta <= lambda_min(D^(-1/2) S D^(-1/2)).
     """
+    tol = 1e-10
     t, alpha, a, b, _ = grid_fields(model, grid)
     S, J = matrix_S(a, b), matrix_J(a)
     scale = 1.0 + a**2 + b**2 + (t + alpha) ** 2

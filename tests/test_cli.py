@@ -286,6 +286,30 @@ def test_non_finite_coefficients_are_usage_errors(capsys, tmp_path, text, argv):
     assert captured.out == "" and "is not finite" in captured.err
 
 
+_EV = ["evolve", "--model", "g_E", "--grid-k", "4"]
+_FP = ["fpcheck", "--model", "g_E", "--grid-k", "4", "--nt", "2"]
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["conditions", "--model", "g_E", "--delta", "nan"], "delta must be a finite number, got nan"),
+    (["conditions", "--model", "g_E", "--delta", "inf"], "delta must be a finite number, got inf"),
+    (_EV + ["--gamma", "nan"], "gamma must be a finite number, got nan"),
+    (_EV + ["--lambda", "nan", "--n-weight", "1"], "lam must be a finite number, got nan"),
+    (_EV + ["--n-weight", "inf", "--lambda", "1"], "n_weight must be a finite number, got inf"),
+    (["evolve", "--model", "g_E", "--grid-k", "64", "--dt", "0.99", "--n-weight", "nan"],
+     "n_weight must be a finite number, got nan"),
+    (_FP + ["--delta", "nan", "--c", "1"], "finite delta, got nan"),
+    (_FP + ["--delta", "0.5", "--c", "nan"], "finite C, got nan"),
+    (_FP + ["--delta", "0.5", "--c", "inf"], "finite C, got inf"),
+], ids=("conditions-delta-nan", "conditions-delta-inf", "evolve-gamma-nan", "evolve-lambda-nan",
+        "evolve-n-weight-inf", "evolve-n-weight-nan-unstable", "fpcheck-delta-nan", "fpcheck-c-nan", "fpcheck-c-inf"))
+def test_non_finite_numeric_flags_are_usage_errors(capsys, argv, match):
+    # each used to give a verdict computed from nan, exit 2, or fail inside LAPACK
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and match in captured.err
+
+
 def test_extend_cli(capsys):
     assert run(["extend", "--model", "g_E"]) == 0
     payload = _json_out(capsys)

@@ -162,7 +162,7 @@ def test_root_separation_reports_positive_gaps():
     # a strictly hyperbolic model has simple roots: dp/dtau = 3 lam^2 - a jp^2 != 0
     model, t, x, xi = gallery("g_strict"), 0.5, 1.0, 4.0
     jp = math.sqrt(1.0 + xi**2)
-    a, b = model.eval_a(t, x, xi), model.eval_b(t, x, xi)
+    a, b = model.a_expr.evaluate(t, x, xi), model.b.evaluate(t, x, xi)
     lam = roots_trig_array(a, b, jp)
     assert lam[0] > lam[1] > lam[2]
     assert np.min(np.abs(3.0 * lam**2 - a * jp**2)) > 0

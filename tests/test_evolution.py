@@ -607,7 +607,7 @@ def test_non_polynomial_symbols_fall_back_to_the_dense_path():
         assert _rel(asm.S(t), H_S) <= 1e-13
         u = V[:, 0]
         assert asm.energy_form(t, u) == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
-        assert _rel(asm.row(t), direct[: grid.N]) <= 1e-13
+        assert _rel(asm.R(t), direct[: grid.N]) <= 1e-13
     assert sorted(asm.S._recent) == [0.1, 0.7]
     # an RK4 step asks for three times; the layout keeps R of the last two
     _rk4(V, 0.2, 0.1, asm.apply)

@@ -42,9 +42,9 @@ def test_a_splits_into_time_shift_and_profile():
     model = gallery("g_E")
     t = np.linspace(0.05, 1.0, 7)[:, None]
     x = np.linspace(0.0, 6.0, 9)[None, :]
-    alpha = model.eval_alpha(x, 1.0)
+    alpha = model.alpha.evaluate(0.0, x, 1.0)
     atilde = model.atilde.evaluate(t, x, 1.0)
-    assert np.allclose(model.eval_a(t, x, 1.0), (t + alpha) * atilde, rtol=1e-14)
+    assert np.allclose(model.a_expr.evaluate(t, x, 1.0), (t + alpha) * atilde, rtol=1e-14)
     assert np.all(atilde >= model.c0 - 1e-12)
     assert np.all(alpha >= -1e-12)
 
@@ -55,7 +55,7 @@ def test_gallery_discriminants_are_nonnegative():
     xi = np.array([1.0, 4.0, 16.0])[None, None, :]
     for name in ("g_strict", "g_zero_b", "g_E", "g_ex21p", "g_ex21m", "g_ex22"):
         model = gallery(name)
-        delta = 4.0 * model.eval_a(t, x, xi) ** 3 - 27.0 * model.eval_b(t, x, xi) ** 2
+        delta = 4.0 * model.a_expr.evaluate(t, x, xi) ** 3 - 27.0 * model.b.evaluate(t, x, xi) ** 2
         assert np.min(delta) >= -1e-10, name
 
 
@@ -63,7 +63,7 @@ def test_g_eps_shifts_alpha():
     base = gallery("g_zero_b")
     shifted = gallery("g_eps", base="g_zero_b", eps=0.5)
     x = np.linspace(0.0, 6.0, 11)
-    assert np.allclose(shifted.eval_alpha(x, 1.0), base.eval_alpha(x, 1.0) + 0.5)
+    assert np.allclose(shifted.alpha.evaluate(0.0, x, 1.0), base.alpha.evaluate(0.0, x, 1.0) + 0.5)
     with pytest.raises(ModelError):
         gallery("g_eps", eps=0.0)
 
@@ -85,15 +85,15 @@ def test_with_alpha_replaces_profile():
     model = gallery("g_zero_b")
     shifted = model.with_alpha(1.0)
     x = np.linspace(0.0, 6.0, 11)
-    assert np.allclose(shifted.eval_alpha(x, 1.0), model.eval_alpha(x, 1.0) + 1.0)
+    assert np.allclose(shifted.alpha.evaluate(0.0, x, 1.0), model.alpha.evaluate(0.0, x, 1.0) + 1.0)
     assert (shifted.atilde, shifted.b) == (model.atilde, model.b)
     assert shifted.name == "g_eps(g_zero_b,1)"
 
 
 def test_random_trig_is_deterministic_and_bounded():
-    lot1 = LowerOrderTerms.random_trig(11, amplitude=0.5, modes=2)
-    lot2 = LowerOrderTerms.random_trig(11, amplitude=0.5, modes=2)
-    lot3 = LowerOrderTerms.random_trig(12, amplitude=0.5, modes=2)
+    lot1 = LowerOrderTerms.random_trig(11, amplitude=0.5)
+    lot2 = LowerOrderTerms.random_trig(11, amplitude=0.5)
+    lot3 = LowerOrderTerms.random_trig(12, amplitude=0.5)
     x = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     v1, v2, v3 = ([np.asarray(e.evaluate(0.3, x, 1.0)) for e in (lot.b10, lot.b11, lot.b12)]
                   for lot in (lot1, lot2, lot3))
@@ -123,7 +123,7 @@ def test_parse_model_text_round_trip():
     assert model.T == 2.0
     assert model.c0 == 0.9
     x = np.linspace(0.0, 6.0, 7)
-    assert np.allclose(model.eval_alpha(x, 1.0), 0.5)
+    assert np.allclose(model.alpha.evaluate(0.0, x, 1.0), 0.5)
     assert np.allclose(model.atilde.evaluate(0.0, x, 1.0), 1 + 0.1 * np.cos(x))
     b10 = np.asarray(lot.b10.evaluate(0.0, x, 1.0))
     assert np.allclose(b10, 0.2 * np.sin(x))
@@ -166,7 +166,7 @@ def test_readme_model_file_example_parses():
     block = readme.split("Model files contain", 1)[1].split("```\n", 2)[1]
     model, lot = parse_model_text(block)
     x = np.linspace(0.0, 6.0, 7)
-    assert np.allclose(model.eval_alpha(x, 1.0), (1 - np.cos(x)) ** 2)
+    assert np.allclose(model.alpha.evaluate(0.0, x, 1.0), (1 - np.cos(x)) ** 2)
     assert np.allclose(np.asarray(lot.b10.evaluate(0.0, x, 1.0)), 0.2 * np.sin(x))
     assert model.T == 2.0 and model.c0 == 0.9
 

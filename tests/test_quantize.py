@@ -146,16 +146,20 @@ def test_block_weyl_layout():
     assert np.allclose(blk.matrix[N:, N:], 2 * np.eye(N))
 
 
+def _l2_norm_sq(bump):
+    """int q^2 over the bump's support, by a 400-point Gauss-Legendre rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    return float(np.sum(weights * bump.fn(nodes * bump.support) ** 2) * bump.support)
+
+
 def test_bump_is_normalized_and_supported():
     bump = default_bump()
-    assert bump.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
+    assert default_bump() is bump
+    assert _l2_norm_sq(bump) == pytest.approx(1.0, abs=1e-10)
     sig = np.array([-1.5, 0.0, 1.5])
     vals = bump.fn(sig)
     assert vals[0] == 0.0 and vals[2] == 0.0
     assert vals[1] > 0.0
-    unnormalized = Bump(fn=lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    with pytest.raises(ValueError):
-        friedrichs_part(Const(1.0), 0.5, FourierGrid(4), bump=unnormalized)
 
 
 def test_friedrichs_part_of_nonnegative_scalar_is_psd():
@@ -213,7 +217,7 @@ def _per_t_pieces(model, t, grid):
     return 0.5 * (S + S.conj().T), M_J, np.diag(np.tile(grid.jp_values**-2.0, 3))
 
 
-def _fp_search_by_grid(model, t_values, grid, deltas, Cs, tol=1e-8):
+def _fp_search_by_grid(model, t_values, grid, deltas, Cs):
     """feasible_pairs and best with one exact fp_check per (t, delta, C) triple."""
     ok = np.ones((len(deltas), len(Cs)), dtype=bool)
     for t in t_values:
@@ -221,7 +225,7 @@ def _fp_search_by_grid(model, t_values, grid, deltas, Cs, tol=1e-8):
         for i, d in enumerate(deltas):
             for j, c in enumerate(Cs):
                 if ok[i, j]:
-                    ok[i, j] = quantize._fp_eval(*pieces, t, d, c, tol).feasible
+                    ok[i, j] = quantize._fp_eval(*pieces, t, d, c).feasible
     pairs = [(deltas[i], Cs[j]) for i in range(len(deltas)) for j in range(len(Cs)) if ok[i, j]]
     return tuple(pairs), max(pairs, key=lambda dc: (dc[0], -dc[1])) if pairs else None
 
@@ -376,7 +380,7 @@ def test_banded_friedrichs_matches_dense_for_xi_dependent_symbol():
 def test_banded_friedrichs_matches_dense_for_narrow_bump():
     wide = default_bump()
     narrow = Bump(fn=lambda s: math.sqrt(2.0) * wide.fn(2.0 * np.asarray(s)), support=0.5)
-    assert narrow.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
+    assert _l2_norm_sq(narrow) == pytest.approx(1.0, abs=1e-10)
     entries = S_symbols(gallery("g_E"))
     _assert_matches_dense(entries, 0.5, FourierGrid(16), 33, bump=narrow)
 
@@ -385,7 +389,7 @@ def test_zeta_rule_covers_every_window_of_a_wide_bump():
     # the windows are L^2-normalized in zeta: sum_q w_q F(xi_k, zeta_q)^2 = 1 on every row
     base = default_bump()
     wide = Bump(fn=lambda s: base.fn(0.5 * np.asarray(s)) / math.sqrt(2.0), support=2.0)
-    assert wide.l2_norm_sq() == pytest.approx(1.0, abs=1e-10)
+    assert _l2_norm_sq(wide) == pytest.approx(1.0, abs=1e-10)
     grid = FourierGrid(16)
     zeta, w = quantize._zeta_rule(grid, wide.support, 66)
     F = quantize._window(wide, zeta[None, :], grid.freqs[:, None], grid.jp_values[:, None])
@@ -400,11 +404,34 @@ def test_friedrichs_part_stays_psd_at_K64():
 
 def test_gauss_legendre_rules_are_computed_once_and_read_only():
     grid = FourierGrid(8)
-    for rule in (quantize._gauss_legendre_unit, lambda: quantize._zeta_rule(grid, 1.0, 33)):
-        nodes, weights = rule()
-        assert rule()[0] is nodes
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
+    nodes, weights = quantize._zeta_rule(grid, 1.0, 33)
+    assert quantize._zeta_rule(grid, 1.0, 33)[0] is nodes
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
+def test_friedrichs_part_is_one_fixed_rule_without_eigensolves(monkeypatch):
+    entries, t, grid = S_symbols(gallery("g_E")), 0.5, FourierGrid(8)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    qf = friedrichs_part(entries, t, grid)
+    assert calls == []
+    want = quantize._friedrichs_matrix(entries, t, grid, default_bump(), 66)
+    assert np.array_equal(qf.matrix, want)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+@pytest.mark.parametrize("K", (8, 16, 32))
+def test_friedrichs_rule_is_converged_against_a_twice_finer_rule(name, K):
+    # the 33-point rule is 3.9e-7 off by the same measure, so this pins the rule size
+    entries = S_symbols(gallery(name))
+    for t in (0.1, 1.0):
+        got = friedrichs_part(entries, t, FourierGrid(K))
+        fine = quantize._friedrichs_matrix(entries, t, FourierGrid(K), default_bump(), 132)
+        assert np.linalg.norm(got.matrix - fine, 2) <= 1e-8 * np.linalg.norm(fine, 2)
+        fine_min = float(np.linalg.eigvalsh(0.5 * (fine + fine.conj().T))[0])
+        assert abs(got.min_eig() - fine_min) <= 1e-9
 
 
 def test_fp_search_rejects_empty_t_grid():

@@ -117,15 +117,13 @@ def test_emit_plot_dispatches_and_writes(tmp_path):
     assert path.read_text() == svg
     margins_svg = emit_plot(energy_margins(trace), str(tmp_path / "m.svg"))
     assert "min =" in margins_svg
-    pair_svg = emit_plot(([1.0, 2.0], [3.0, 4.0]), str(tmp_path / "p.svg"))
-    assert pair_svg.startswith("<svg")
     with pytest.raises(TypeError):
         emit_plot(object(), str(tmp_path / "x.svg"))
 
 
-def test_emit_plot_bytes_are_stable(tmp_path):
-    xy = ([1.0, 2.0, 4.0], [2.0, 3.0, 5.0])
-    a = emit_plot(xy, str(tmp_path / "a.svg"))
-    b = emit_plot(xy, str(tmp_path / "b.svg"))
+def test_line_plot_bytes_are_stable(tmp_path):
+    series = [Series([1.0, 2.0, 4.0], [2.0, 3.0, 5.0])]
+    a = line_plot(series, str(tmp_path / "a.svg"), xlabel="x", ylabel="y")
+    b = line_plot(series, str(tmp_path / "b.svg"), xlabel="x", ylabel="y")
     assert a == b
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()

@@ -121,7 +121,8 @@ def test_delta_sym_bound_certifies_positivity():
     # certificate check: S - 2 delta t J stays PSD at fresh sample points
     for t in (0.1, 0.6):
         for x in (0.3, 2.0, 4.5):
-            alpha, a, b = model.eval_alpha(x, 3.0), model.eval_a(t, x, 3.0), model.eval_b(t, x, 3.0)
+            alpha = model.alpha.evaluate(0.0, x, 3.0)
+            a, b = model.a_expr.evaluate(t, x, 3.0), model.b.evaluate(t, x, 3.0)
             shifted = matrix_S(a, b) - 2.0 * rep.delta_sym * t * matrix_J(a)
             assert np.linalg.eigvalsh(shifted)[0] >= -1e-8 * _scale(t, alpha, a, b)
 
