@@ -1,15 +1,15 @@
 """First-order evolution, weighted energies and the supporting constructions.
 
-The reduced system is D_t U = (A <D> + B) U + F, integrated as
-dU/dt = i (M(t) U + F(t)) with classical RK4 at a fixed CFL-limited step.
-The monitored energy is
+The reduced system is D_t U = (A <D> + B) U, integrated as dU/dt = i M(t) U
+with classical RK4 at a fixed CFL-limited step, in one march of at most
+MAX_STEPS steps.  The monitored energy is
 
     E(t) = t^-N e^(-gamma t) Q(t),   Q(t) = Re < Stilde_h(t) U, U >,
     Stilde_h(t) = Op(S(t)) + lam t^-1 blockdiag(jp^-2),
 
-and the per-step margins test the differential inequality
+and the per-step margins test the homogeneous differential inequality
 
-    dE/dt <= t^(-N+1) e^(-gamma t) (Stilde F, F) - (N - N*) t^-1 E.
+    dE/dt <= -(N - N*) t^-1 E.
 
 Margins are normalized per step so pass tolerances are dimensionless; the
 worst-margin convergence under dt halving is measured against a finer
@@ -110,30 +110,18 @@ class Assembler:
         """M(t) @ V for V of shape (3N,) or (3N, nb), from R(t) and the <D> shifts."""
         return np.concatenate([self.R(t, V), _shifts(self._shift, V)])
 
-    def _stilde(self, t, V, lam, rate=False):
-        """(Stilde V, Stilde' V or None) for V of shape (3N,) or (3N, nb).
-
-        Stilde = Herm Op(S)(t) + lam t^-1 blockdiag(jp^-2); Herm Op(S) and
-        its t-derivative come from the layout S.
-        """
-        SV, dSV = self.S.rate(t, V) if rate else (self.S(t, V), None)
-        if lam != 0.0 and t > 0:
-            PV = (lam / t) * self._jp_inv2_block.reshape((-1,) + (1,) * (V.ndim - 1)) * V
-            SV = SV + PV
-            if rate:
-                dSV = dSV - PV / t
-        return SV, dSV
-
-    def energy_form(self, t, V, lam=0.0):
-        """Re <V, Stilde V> per column of V, Stilde = Herm Op(S)(t) + lam t^-1 blockdiag(jp^-2)."""
-        return _re_inner(V, self._stilde(t, V, lam)[0])
-
     def energy_rate(self, t, V, dV, lam=0.0):
         """(Q, dQ/dt) for Q = Re <V, Stilde V>, V of shape (3N,) moving at dV = dV/dt.
 
-        The rate is exact: dQ/dt = Re <V, Stilde' V> + 2 Re <Stilde V, dV>.
+        Stilde = Herm Op(S)(t) + lam t^-1 blockdiag(jp^-2); Herm Op(S) and
+        its t-derivative come from the layout S.  The rate is exact:
+        dQ/dt = Re <V, Stilde' V> + 2 Re <Stilde V, dV>.
         """
-        SV, dSV = self._stilde(t, V, lam, rate=True)
+        SV, dSV = self.S.rate(t, V)
+        if lam != 0.0:
+            PV = (lam / t) * self._jp_inv2_block * V
+            SV = SV + PV
+            dSV = dSV - PV / t
         return _re_inner(V, SV), _re_inner(V, dSV) + 2.0 * _re_inner(dV, SV)
 
 
@@ -142,38 +130,25 @@ def _re_inner(X, Y):
     return np.real(np.sum(X.conj() * Y, axis=0))
 
 
-def _slope(apply_gen, F=None):
-    """(t, U) -> dU/dt = i (M(t) U + F(t))."""
-    def rhs(tt, V):
-        out = apply_gen(tt, V)
-        if F is not None:
-            out = out + F(tt)
-        return 1j * out
-    return rhs
-
-
-def _rk4(U, t, h, apply_gen, F=None, k1=None):
-    """One classical RK4 step; k1, when known, is the slope at (t, U)."""
-    rhs = _slope(apply_gen, F)
+def _rk4(U, t, h, apply_gen, k1=None):
+    """One classical RK4 step of dU/dt = i M(t) U; k1, when known, is the slope at (t, U)."""
     if k1 is None:
-        k1 = rhs(t, U)
-    k2 = rhs(t + 0.5 * h, U + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, U + 0.5 * h * k2)
-    k4 = rhs(t + h, U + h * k3)
+        k1 = 1j * apply_gen(t, U)
+    k2 = 1j * apply_gen(t + 0.5 * h, U + 0.5 * h * k1)
+    k3 = 1j * apply_gen(t + 0.5 * h, U + 0.5 * h * k2)
+    k4 = 1j * apply_gen(t + h, U + h * k3)
     return U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
 class EnergyTrace:
     t: np.ndarray
-    dt: float
     Q: np.ndarray
     dQ: np.ndarray          # exact dQ/dt samples
     n1sq: np.ndarray
     n2sq: np.ndarray
     aU3U3: np.ndarray
     norm: np.ndarray
-    Fterm: np.ndarray       # (Stilde F, F) samples
     n_weight: float
     n_star: float
     gamma: float
@@ -210,73 +185,80 @@ def _check_horizon(model, T):
         raise ValueError(f"integration end {T:g} lies beyond the model horizon T = {model.T:g}")
 
 
-@dataclass(frozen=True)
-class _Steps:
-    """n uniform steps (t_i, h_i) from t_i = start + i h, the last one clipped at end.
+# The most RK4 steps one march may take.  The largest count any gate, test or
+# benchmark path takes is 822 (c06's dt/8 run at K=16); the K=128 loss probe
+# at the CFL step takes 821.
+MAX_STEPS = 2**20
 
-    Iterated lazily: a tiny dt costs its steps' time, not a list of them.
+
+def _march(asm, U, cfg, sample):
+    """March U by RK4 from cfg.eps_start to cfg.T; returns (U, aborted).
+
+    The step is h = cfg.dt (None: the CFL step) times cfg.dt_scale; step i
+    starts at t_i = eps_start + h i, and the last one is clipped at T.  More
+    than MAX_STEPS steps is a ValueError.  The slope dU/dt taken after a step
+    is the next step's first stage.  sample(t, U, dU, norms), norms the
+    column norms of U (its norm when U is one state), sees the start and
+    every step's end.  A step that grows a column's norm by more than
+    GROWTH_ABORT is discarded and stops the march (verdict "unbounded"); U
+    is then the last state sampled.
     """
-
-    start: float
-    h: float
-    n: int
-    end: float
-
-    def __iter__(self):
-        for i in range(self.n):
-            t = self.start + self.h * i
-            yield t, min(self.h, self.end - t)
-
-
-def _fixed_steps(cfg: EvolveConfig, asm: Assembler):
-    """Uniform steps covering [eps_start, T] (last step clipped)."""
     h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
-    n = max(1, math.ceil((cfg.T - cfg.eps_start) / h - 1e-12))
-    return _Steps(cfg.eps_start, h, n, cfg.T)
+    steps = (cfg.T - cfg.eps_start) / h - 1e-12
+    if steps > MAX_STEPS:
+        raise ValueError(f"step h = {h:.3g} needs n = {steps:.3g} RK4 steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
+    # one state takes numpy's whole-vector norm, cheaper per step than a column reduction
+    norm = np.linalg.norm if U.ndim == 1 else functools.partial(np.linalg.norm, axis=0)
+    t = cfg.eps_start
+    dU = 1j * asm.apply(t, U)
+    norms = norm(U)
+    sample(t, U, dU, norms)
+    for i in range(max(1, math.ceil(steps))):
+        t = cfg.eps_start + h * i
+        step = min(h, cfg.T - t)
+        U_new = _rk4(U, t, step, asm.apply, dU)
+        norms_new = norm(U_new)
+        if (norms_new > GROWTH_ABORT * np.maximum(norms, 1e-300)).any():
+            return U, True
+        U, norms = U_new, norms_new
+        dU = 1j * asm.apply(t + step, U)
+        sample(t + step, U, dU, norms)
+    return U, False
 
 
-def evolve(model, lot, U0, cfg: EvolveConfig, grid, F=None, assembler=None):
-    """Integrate dU/dt = i (M(t) U + F(t)) from eps_start to T.
+def evolve(model, lot, U0, cfg: EvolveConfig, grid, assembler=None):
+    """Integrate dU/dt = i M(t) U from eps_start to T.
 
-    U0 is a (3N,) complex vector.  F, when given, maps t to a (3N,) vector.
-    Each sample records Q and its exact rate dQ/dt; the slope dU/dt taken
-    for the rate is the next RK4 step's first stage.  Returns
-    (EnergyTrace, U_final); on a growth abort the trace is truncated and
-    flagged aborted (verdict "unbounded").
+    U0 is a (3N,) complex vector.  Each sample records Q and its exact rate
+    dQ/dt; the slope dU/dt taken for the rate is the next RK4 step's first
+    stage.  Returns (EnergyTrace, U_final); on a growth abort the trace is
+    truncated and flagged aborted (verdict "unbounded").  An energy Q that
+    is not positive (nan included) at a sample raises: no margin is
+    measured against it.
     """
     cfg.validate()
     _check_horizon(model, cfg.T)
     asm = assembler or Assembler(model, lot, grid)
-    steps = _fixed_steps(cfg, asm)
-    slope = _slope(asm.apply, F)
     N = grid.N
     rows = []
 
-    def record(t, U, dU):
+    def record(t, U, dU, norms):
         Q, dQ = asm.energy_rate(t, U, dU, cfg.lam)
         u3 = U[2 * N :]
-        rows.append((t, Q, dQ, 0.0 if F is None else asm.energy_form(t, F(t), cfg.lam),
+        rows.append((t, Q, dQ,
                      np.vdot(U[:N], U[:N]).real, np.vdot(U[N : 2 * N], U[N : 2 * N]).real,
-                     np.vdot(u3, asm.ops.op("a", t, u3)).real, np.linalg.norm(U)))
+                     np.vdot(u3, asm.ops.op("a", t, u3)).real, norms))
 
-    aborted = False
-    U = np.array(U0, dtype=complex)
-    t0, dt = next(iter(steps))
-    dU = slope(t0, U)
-    record(t0, U, dU)
-    for t, h in steps:
-        U_new = _rk4(U, t, h, asm.apply, F, dU)
-        if np.linalg.norm(U_new) > GROWTH_ABORT * max(np.linalg.norm(U), 1e-300):
-            aborted = True
-            break
-        U = U_new
-        dU = slope(t + h, U)
-        record(t + h, U, dU)
-
-    t, Q, dQ, Fterm, n1sq, n2sq, aU3U3, norm = np.array(rows).T.copy()
-    trace = EnergyTrace(t=t, dt=dt, Q=Q, dQ=dQ, n1sq=n1sq, n2sq=n2sq,
-                        aU3U3=aU3U3, norm=norm, Fterm=Fterm, n_weight=cfg.n_weight,
-                        n_star=cfg.n_star, gamma=cfg.gamma, lam=cfg.lam, aborted=aborted)
+    U, aborted = _march(asm, np.array(U0, dtype=complex), cfg, record)
+    t, Q, dQ, n1sq, n2sq, aU3U3, norm = np.array(rows).T.copy()
+    if not np.all(Q > 0):
+        bad = int(np.argmin(Q > 0))
+        raise ValueError(f"energy Q = {Q[bad]:.3g} at t = {t[bad]:.3g} is not positive; "
+                         "increase lam")
+    trace = EnergyTrace(t=t, Q=Q, dQ=dQ, n1sq=n1sq, n2sq=n2sq, aU3U3=aU3U3, norm=norm,
+                        n_weight=cfg.n_weight, n_star=cfg.n_star, gamma=cfg.gamma,
+                        lam=cfg.lam, aborted=aborted)
     return trace, U
 
 
@@ -292,18 +274,18 @@ class MarginReport:
     midpoints: np.ndarray
     min_margin: float
     argmin_t: float
-    int_defect: float          # integrated-inequality defect, source-free runs
+    int_defect: float          # integrated-inequality defect
     passed: bool
     tol: float
 
 
 def energy_margins(trace: EnergyTrace, tol=0.05):
-    """Per-step margins of dE/dt <= w(t) [t (Stilde F, F) - (N - N*) Q / t].
+    """Per-step margins of the homogeneous inequality dE/dt <= -(N - N*) t^-1 E.
 
-    w(t) = t^-N e^(-gamma t); the right-hand side is averaged over the step
-    endpoints and the derivative is the forward difference, so margins
-    converge at rate dt^2.  Normalization divides by the larger of the two
-    sides (floored by the weighted energy scale).  For source-free runs the
+    The right-hand side w(t) (N* - N) Q / t, w(t) = t^-N e^(-gamma t), is
+    averaged over the step endpoints and the derivative is the forward
+    difference, so margins converge at rate dt^2.  Normalization divides by
+    the larger of the two sides (floored by the weighted energy scale).  The
     integrated form E(t) + (N - N*) int E/tau dtau <= E(eps) is also
     accumulated; int_defect is its worst relative excess.
     """
@@ -313,13 +295,10 @@ def energy_margins(trace: EnergyTrace, tol=0.05):
     dt = np.diff(trace.t)
     nw, ns, g = trace.n_weight, trace.n_star, trace.gamma
 
-    def rhs_at(t, Q, Ft):
-        w = t ** (-nw) * np.exp(-g * t)
-        return w * (t * Ft - (nw - ns) * Q / t)
+    def rhs_at(t, Q):
+        return t ** (-nw) * np.exp(-g * t) * ((ns - nw) * Q / t)
 
-    rhs0 = rhs_at(t0, trace.Q[:-1], trace.Fterm[:-1])
-    rhs1 = rhs_at(t1, trace.Q[1:], trace.Fterm[1:])
-    rhs = 0.5 * (rhs0 + rhs1)
+    rhs = 0.5 * (rhs_at(t0, trace.Q[:-1]) + rhs_at(t1, trace.Q[1:]))
     dE_dt = (trace.E[1:] - trace.E[:-1]) / dt
     raw = rhs - dE_dt
     tbar = 0.5 * (t0 + t1)
@@ -330,7 +309,7 @@ def energy_margins(trace: EnergyTrace, tol=0.05):
     margins = raw / scale
 
     int_defect = math.nan
-    if len(t0) and np.all(trace.Fterm == 0.0):
+    if len(t0):
         integrand = (nw - ns) * trace.E / trace.t
         cumint = np.concatenate(
             [[0.0], np.cumsum(0.5 * dt * (integrand[:-1] + integrand[1:]))]
@@ -415,7 +394,7 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
     weighted with these constants, so a caller at the same step has its
     energies and margins without integrating U0 again.  When the run hits a
     growth abort, N* = N = inf and the trace comes back flagged aborted; an
-    energy that is not positive (nan included) raises.
+    energy that is not positive (nan included) raises in evolve.
     """
     cfg = EvolveConfig(eps_start=eps_start, T=T, dt=dt, gamma=gamma)
     cfg.validate()
@@ -435,8 +414,6 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
     if trace.aborted:
         # no finite exponent bounds a run that blew up
         n_star, argmax_t = math.inf, float(trace.t[-1])
-    elif not np.all(trace.Q > 0):
-        raise ValueError("energy is not positive (or not a number); increase lam")
     else:
         sup, argmax_t = _hermite_sup(trace.t, trace.Q, trace.dQ, gamma)
         n_star = max(0.0, sup)
@@ -481,18 +458,12 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
             raise ValueError("modes must lie in [1, K]")
         for i in range(3):
             U[i * N + (k + grid.K), col] = 1.0 / math.sqrt(3.0)
-    steps = _fixed_steps(cfg, asm)
     sup = np.ones(nb)
-    aborted = False
-    for t, h in steps:
-        U_new = _rk4(U, t, h, asm.apply)
-        norms_old = np.linalg.norm(U, axis=0)
-        norms = np.linalg.norm(U_new, axis=0)
-        if np.any(norms > GROWTH_ABORT * np.maximum(norms_old, 1e-300)):
-            aborted = True
-            break
-        U = U_new
-        sup = np.maximum(sup, norms)
+
+    def track(t, U, dU, norms):
+        np.maximum(sup, norms, out=sup)
+
+    _, aborted = _march(asm, U, cfg, track)
     if aborted:
         return LossReport(tuple(k_list), tuple(float(v) for v in sup), math.inf, True)
     jp = np.sqrt(1.0 + (np.asarray(k_list, dtype=float) * grid.base_freq) ** 2)

@@ -208,6 +208,28 @@ def test_evolve_past_the_stability_limit_is_unbounded(capsys):
     assert payload["searched_constants"]["n_star"] == "inf" and payload["steps"] == 0
 
 
+def test_evolve_with_more_steps_than_the_bound_is_a_usage_error(capsys, monkeypatch):
+    # 9.9e299 steps: refused before the first one (an unbounded march never ends)
+    def no_step(*args):
+        raise AssertionError("RK4 step taken")
+
+    monkeypatch.setattr(evolution, "_rk4", no_step)
+    assert run(["evolve", "--model", "g_E", "--dt", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "9.9e+299 RK4 steps" in captured.err and "MAX_STEPS" in captured.err
+
+
+def test_evolve_with_a_non_positive_energy_is_a_usage_error(capsys):
+    # lam = -5 makes Q = -76.5 at t = 0.01: no margin or verdict is measured against it
+    argv = ["evolve", "--model", "g_E", "--grid-k", "8", "--n-weight", "1"]
+    assert run(argv + ["--lambda", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not positive; increase lam" in captured.err
+    assert run(argv + ["--lambda", "0"]) == 0
+    assert _json_out(capsys)["verdicts"]["margins_passed"] is True
+
+
 def test_evolve_artifacts_are_deterministic(capsys, tmp_path):
     args = ["evolve", "--model", "g_E", "--grid-k", "6", "--lot-seed", "3",
             "--n-weight", "0.25", "--gamma", "1.0", "--lambda", "1.0"]

@@ -1,6 +1,7 @@
 """Time integration, energy margins, cutoff checks, lifts, sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from triplex import evolution
 from triplex.evolution import (
     Assembler,
     EvolveConfig,
-    _fixed_steps,
     _rk4,
     _taper,
     energy_margins,
@@ -97,20 +97,6 @@ def test_evolve_flags_runaway_growth(monkeypatch):
     assert len(trace.t) >= 1
 
 
-def test_forced_evolution_adds_energy():
-    model = gallery("g_strict")
-    grid = FourierGrid(4)
-    cfg = EvolveConfig(eps_start=0.1, T=0.6)
-    U0 = seeded_state(grid, 3)
-    F = np.zeros(3 * grid.N, dtype=complex)
-    F[grid.K] = 1.0
-
-    trace_free, _ = evolve(model, None, U0, cfg, grid)
-    trace_forced, _ = evolve(model, None, U0, cfg, grid, F=lambda t: F)
-    assert trace_forced.norm[-1] != pytest.approx(trace_free.norm[-1], rel=1e-6)
-    assert np.any(trace_forced.Fterm > 0)
-
-
 # ---------------------------------------------------------------------------
 # energy margins
 
@@ -156,24 +142,21 @@ def test_margin_deviation_contracts_with_dt():
 
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(("g_E", "g_zero_b", "g_ex21p", "g_strict", "g_ex22:m=8")),
-       lot_seed=st.integers(0, 1000), t=st.floats(0.05, 0.95), lam=st.sampled_from((0.0, 2.0)),
-       forced=st.booleans())
-def test_exact_energy_rate_matches_centred_differences(name, lot_seed, t, lam, forced):
+       lot_seed=st.integers(0, 1000), t=st.floats(0.05, 0.95), lam=st.sampled_from((0.0, 2.0)))
+def test_exact_energy_rate_matches_centred_differences(name, lot_seed, t, lam):
     # g_ex22 with m = 8 is past the Taylor cap, so it takes the fallback path
     model = gallery("g_ex22", m=8) if name == "g_ex22:m=8" else gallery(name)
     grid = FourierGrid(4)
     asm = Assembler(model, LowerOrderTerms.random_trig(lot_seed), grid)
+
+    def energy(tt, V):
+        return asm.energy_rate(tt, V, 1j * asm.apply(tt, V), lam)
+
     U = seeded_state(grid, lot_seed)
-    F = None
-    if forced:
-        f = 0.3 * seeded_state(grid, lot_seed + 1)
-        F = lambda tt: (1.0 + tt) * f
-    dU = evolution._slope(asm.apply, F)(t, U)
-    Q, dQ = asm.energy_rate(t, U, dU, lam)
-    assert Q == asm.energy_form(t, U, lam)
+    Q, dQ = energy(t, U)
     h = 1e-5
-    Q_plus = asm.energy_form(t + h, _rk4(U, t, h, asm.apply, F), lam)
-    Q_minus = asm.energy_form(t - h, _rk4(U, t, -h, asm.apply, F), lam)
+    Q_plus = energy(t + h, _rk4(U, t, h, asm.apply))[0]
+    Q_minus = energy(t - h, _rk4(U, t, -h, asm.apply))[0]
     centred = (Q_plus - Q_minus) / (2.0 * h)
     assert abs(dQ - centred) <= 1e-6 * (abs(Q) + abs(dQ))
 
@@ -220,7 +203,7 @@ def test_constants_come_with_their_own_run():
     trace, _ = evolve(model, lot, U0, cfg, grid)
     run = consts.trace
     assert (run.n_weight, run.n_star, run.lam) == (consts.n_weight, consts.n_star, consts.lam)
-    for key in ("t", "Q", "dQ", "norm", "Fterm"):
+    for key in ("t", "Q", "dQ", "norm"):
         assert np.array_equal(getattr(run, key), getattr(trace, key))
     assert np.allclose(run.E, trace.E, rtol=1e-15, atol=0.0)
     assert consts.n_star == pytest.approx(
@@ -270,7 +253,7 @@ def test_symbols_are_quantized_on_first_use():
     assert asm.ops._stacks == {}
     asm.apply(0.5, U)
     assert "a" in asm.ops._stacks and "a2" not in asm.ops._stacks
-    asm.energy_form(0.5, U)
+    asm.energy_rate(0.5, U, U)
     assert "a2" in asm.ops._stacks
 
 
@@ -548,9 +531,7 @@ def test_energy_form_matches_the_dense_energy(name):
             for col in range(V.shape[1]):
                 u = V[:, col]
                 dense = float(np.real(np.vdot(u, Stilde @ u)))
-                assert asm.energy_form(t, u, lam) == pytest.approx(dense, rel=1e-13)
-            cols = [float(np.real(np.vdot(V[:, j], Stilde @ V[:, j]))) for j in range(3)]
-            assert np.allclose(asm.energy_form(t, V, lam), cols, rtol=1e-13, atol=0.0)
+                assert asm.energy_rate(t, u, u, lam)[0] == pytest.approx(dense, rel=1e-13)
 
 
 def _lam_by_eigensolves(model, grid, eps_start, T):
@@ -606,7 +587,7 @@ def test_non_polynomial_symbols_fall_back_to_the_dense_path():
         H_S = _direct_herm_S(model, t, grid)
         assert _rel(asm.S(t), H_S) <= 1e-13
         u = V[:, 0]
-        assert asm.energy_form(t, u) == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
+        assert asm.energy_rate(t, u, u)[0] == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
         assert _rel(asm.R(t), direct[: grid.N]) <= 1e-13
     assert sorted(asm.S._recent) == [0.1, 0.7]
     # an RK4 step asks for three times; the layout keeps R of the last two
@@ -635,31 +616,49 @@ def test_polynomial_models_evolve_without_dense_matrices(monkeypatch):
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(17, amplitude=0.4)
     grid = FourierGrid(8)
-    F = np.zeros(3 * grid.N, dtype=complex)
-    F[grid.K] = 1.0
-    trace, _ = evolve(model, lot, seeded_state(grid, 18), EvolveConfig(T=0.5, lam=2.0), grid,
-                      F=lambda t: F)
-    assert np.all(np.isfinite(trace.E)) and np.all(trace.Fterm > 0)
+    trace, _ = evolve(model, lot, seeded_state(grid, 18), EvolveConfig(T=0.5, lam=2.0), grid)
+    assert np.all(np.isfinite(trace.E)) and np.all(trace.Q > 0)
     assert np.isfinite(loss_probe(model, lot, grid, EvolveConfig(T=0.5), (2, 4)).exponent)
 
 
-def test_tiny_steps_are_counted_without_being_built():
-    # 9.9e8 steps: a list of them would take tens of GB
-    asm = Assembler(gallery("g_E"), None, FourierGrid(4))
-    steps = _fixed_steps(EvolveConfig(dt=1e-9), asm)
-    assert steps.n == math.ceil(0.99 / 1e-9 - 1e-12) > 9e8
-    assert next(iter(steps)) == (1e-2, 1e-9)
+def test_tiny_steps_are_counted_without_being_built(monkeypatch):
+    # 9.9e8 and 9.9e299 steps exceed MAX_STEPS: the march refuses before its first step
+    def no_step(*args):
+        raise AssertionError("RK4 step taken")
+
+    monkeypatch.setattr(evolution, "_rk4", no_step)
+    grid = FourierGrid(4)
+    for dt, n in ((1e-9, "9.9e+08"), (1e-300, "9.9e+299")):
+        with pytest.raises(ValueError, match=f"h = {dt:.3g} needs n = {re.escape(n)} RK4 steps"):
+            evolve(gallery("g_E"), None, seeded_state(grid, 0), EvolveConfig(dt=dt), grid)
+    assert evolution.MAX_STEPS >= 822  # c06's dt/8 run at K=16, the largest count taken
 
 
 def test_step_points_are_those_of_the_step_list():
-    # t_i = eps + i h exactly as np.arange(n) gives it, the clipped last step included
+    # t_i = eps + i h as Python floats; each sample sits at t_i + h_i, the clipped last step included
     grid = FourierGrid(6)
     asm = Assembler(gallery("g_E"), None, grid)
     for cfg in (EvolveConfig(), EvolveConfig(dt=0.07, T=0.9), EvolveConfig(dt_scale=0.125)):
         h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
         n = max(1, math.ceil((cfg.T - cfg.eps_start) / h - 1e-12))
-        want = [(float(t), float(min(h, cfg.T - t))) for t in cfg.eps_start + h * np.arange(n)]
-        assert list(_fixed_steps(cfg, asm)) == want
+        starts = [cfg.eps_start + h * i for i in range(n)]
+        want = [cfg.eps_start] + [t + min(h, cfg.T - t) for t in starts]
+        trace, _ = evolve(gallery("g_E"), None, seeded_state(grid, 0), cfg, grid, assembler=asm)
+        assert trace.t.tolist() == want
+
+
+def test_loss_probe_and_evolve_share_one_march():
+    # loss_probe's growth of mode k is the largest evolve norm of the same single-mode state
+    model, grid = gallery("g_E"), FourierGrid(8)
+    lot = LowerOrderTerms.random_trig(20)
+    cfg = EvolveConfig()
+    rep = loss_probe(model, lot, grid, cfg, (2, 4))
+    for k, growth in zip(rep.modes, rep.growth):
+        U0 = np.zeros(3 * grid.N, dtype=complex)
+        U0[[i * grid.N + k + grid.K for i in range(3)]] = 1.0 / math.sqrt(3.0)
+        trace, _ = evolve(model, lot, U0, cfg, grid)
+        assert not trace.aborted
+        assert growth == pytest.approx(float(np.max(trace.norm)), rel=1e-12)
 
 
 def test_integration_past_the_model_horizon_is_rejected():
