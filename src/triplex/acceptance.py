@@ -391,14 +391,14 @@ def criterion_taylor_lift(quick=False, seed=0):
             for _ in range(3)]
     nrm = np.linalg.norm(np.concatenate(data))
     data = [v / nrm for v in data]
-    lift = taylor_lift(model, lot, data, order=6, grid=grid)
+    asm = Assembler(model, lot, grid)
+    lift = taylor_lift(asm, data, order=6)
 
     # central 7-node samples of the true solution around t = 0; the node
     # spacing shrinks with K to hold the h^4 truncation term below the
     # budget while keeping rounding noise (which grows like h^-3) under 10%
     h = 8e-3 / grid.K
     sub = 50
-    asm = Assembler(model, lot, grid)
 
     def march(U, t_from, t_to):
         step = (t_to - t_from) / sub

@@ -30,9 +30,9 @@ import numpy as np
 
 from .cubic import Grid3, check_condition, default_condition_grid
 from .models import HyperbolicModel, LowerOrderTerms, ModelError, build_model
-from .symbols import Const, X, call, differentiate
+from .symbols import Const, X, call
 from .quantize import (FourierGrid, Layout, TaylorOps, c_star, fp_search, herm_S_layout,
-                       op_weyl, operator_norm, top_eigenvalue)
+                       operator_norm, top_eigenvalue)
 from .symmetrizer import A_entries, lower_bound_delta
 
 
@@ -349,12 +349,11 @@ class EnergyConstants:
     n_weight: float
     gamma: float
     lam: float
-    argmax_t: float
     trace: EnergyTrace       # the measuring run, weighted with these constants
 
 
 def _hermite_sup(t, Q, dQ, gamma):
-    """(sup, argmax) of t (q'/q - gamma), q the cubic Hermite interpolant of (Q, dQ) at t.
+    """sup of t (q'/q - gamma), q the cubic Hermite interpolant of (Q, dQ) at t.
 
     Each step is sampled at 17 equally spaced places, its ends (the samples
     themselves) included; on gallery runs at K 8 and 16 that is within 4e-6
@@ -367,9 +366,7 @@ def _hermite_sup(t, Q, dQ, gamma):
     q = Q[:-1] + s * m0 + s**2 * (3.0 * jump - 2.0 * m0 - m1) + s**3 * (m0 + m1 - 2.0 * jump)
     dq = (m0 + 2.0 * s * (3.0 * jump - 2.0 * m0 - m1) + 3.0 * s**2 * (m0 + m1 - 2.0 * jump)) / h
     tt = t[:-1] + s * h
-    vals = tt * (dq / q - gamma)
-    i = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return float(vals[i]), float(tt[i])
+    return float(np.max(tt * (dq / q - gamma)))
 
 
 def seeded_state(grid, seed):
@@ -411,18 +408,14 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
     if U0 is None:
         U0 = seeded_state(grid, seed)
     trace, _ = evolve(model, lot, U0, cfg, grid, assembler=asm)
-    if trace.aborted:
-        # no finite exponent bounds a run that blew up
-        n_star, argmax_t = math.inf, float(trace.t[-1])
-    else:
-        sup, argmax_t = _hermite_sup(trace.t, trace.Q, trace.dQ, gamma)
-        n_star = max(0.0, sup)
+    # no finite exponent bounds a run that blew up
+    n_star = (math.inf if trace.aborted
+              else max(0.0, _hermite_sup(trace.t, trace.Q, trace.dQ, gamma)))
     return EnergyConstants(
         n_star=n_star,
         n_weight=n_star + 0.25,
         gamma=gamma,
         lam=cfg.lam,
-        argmax_t=argmax_t,
         trace=dataclasses.replace(trace, n_weight=n_star + 0.25, n_star=n_star),
     )
 
@@ -496,7 +489,6 @@ class CutoffReport:
     scaled_low: tuple       # nu * |(A<D> + B) chi_{nu/2}|
     scaled_comm: tuple      # nu^-1 * |[chi_nu, A<D> + B]|
     flagged: tuple
-    within_factor: float
 
 
 def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
@@ -505,7 +497,7 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
     chi_nu multiplies mode k by taper(|nu k w0|): identity below 1/nu, zero
     above 2/nu.  Reports nu |A_nu| and nu^-1 |[chi_nu, M]|, which symbol
     calculus keeps comparable across nu; entries whose transition band
-    2/nu escapes the grid are flagged and excluded from the spread.
+    2/nu escapes the grid are flagged.
 
     Both norms come from M's first block row R(t) by Lanczos, without
     forming M: |A_nu|^2 = |M chi_{nu/2}|^2 is the top eigenvalue of
@@ -531,20 +523,11 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
         # the <D> shifts commute with chi_nu, so [chi_nu, M] vanishes below the first block row
         scaled_comm.append(operator_norm(chi_full[:N, None] * R - R * chi_full[None, :]) / nu)
         flagged.append(bool(2.0 / nu > grid.K))
-    ok = [i for i, fl in enumerate(flagged) if not fl]
-    spread = 0.0
-    for vals in (scaled_low, scaled_comm):
-        arr = np.array([vals[i] for i in ok])
-        if len(arr):
-            med = float(np.median(arr))
-            if med > 0:
-                spread = max(spread, float(np.max(arr / med)), float(np.max(med / arr)))
     return CutoffReport(
         nu=tuple(float(v) for v in nus),
         scaled_low=tuple(scaled_low),
         scaled_comm=tuple(scaled_comm),
         flagged=tuple(flagged),
-        within_factor=spread,
     )
 
 
@@ -659,35 +642,35 @@ class TaylorLift:
         return out
 
 
-def taylor_lift(model, lot, data, order, grid):
+def taylor_lift(asm, data, order):
     """Polynomial lift U_M(t) = sum U_j (i t)^j / j! matching D_t^j U(0).
 
-    data is the triple of component coefficient vectors of U(0).  The
-    recursion D_t^(j+1) U = D_t^j (M U) at t = 0 takes the generator's
-    t derivatives symbolically; order is capped at 6.
+    asm is the Assembler of the model and lower-order terms, and data the
+    triple of component coefficient vectors of U(0).  The recursion
+    D_t^(j+1) U = D_t^j (M U) at t = 0 reads D_t^i M(0) off the Taylor stack
+    of M's first block row, R(t) = sum_i t^i W_i: for i >= 1 it is
+    (-i)^i i! W_i on the first block row and 0 below it (the <D> shifts are
+    constant in t), and 0 past the stack's end.  order is capped at 6.  A
+    generator not polynomial in t has no stack and raises ValueError.
     """
     if not 0 <= order <= 6:
         raise ValueError("order must be between 0 and 6")
-    lot = lot or LowerOrderTerms.zero()
+    grid = asm.ops.grid
     N = grid.N
     U0 = np.concatenate([np.asarray(v, dtype=complex) for v in data])
     if U0.shape != (3 * N,):
         raise ValueError("data must be three coefficient vectors of length N")
-
-    # D_t^i M at 0: (-i)^i times the i-th t-derivative of M's first block
-    # row; the <D> shifts are constant in t, so they enter at i = 0 only
-    jp = grid.jp_values
-    exprs = [model.a_expr, model.b, lot.b10, lot.b11, lot.b12]
-    rows = []
-    for i in range(order):
-        if i:
-            exprs = [differentiate(e, "t", 1) for e in exprs]
-        rows.append(((-1j) ** i) * _first_row(jp, *(op_weyl(e, 0.0, grid) for e in exprs)))
-
-    shift = np.concatenate([jp] * 2)
+    W = asm.R.stack
+    if W is None:
+        raise ValueError("taylor_lift needs a generator polynomial in t (degree <= 6)")
 
     def gen_deriv(i, V):
-        return np.concatenate([rows[i] @ V, _shifts(shift, V) if i == 0 else np.zeros(2 * N)])
+        if i == 0:
+            return asm.apply(0.0, V)
+        out = np.zeros(3 * N, dtype=complex)
+        if (i + 1) * N <= len(W):
+            out[:N] = (-1j) ** i * math.factorial(i) * W[i * N : (i + 1) * N] @ V
+        return out
 
     coeffs = [U0]
     for j in range(order):

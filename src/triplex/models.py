@@ -46,16 +46,8 @@ class HyperbolicityViolation(ModelError):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    grid_shape: tuple
-    t_range: tuple
-    xi_range: tuple
-    min_alpha: float
-    min_atilde: float
     min_delta_margin: float
-    delta_witness: tuple
     max_a: float
-    max_abs_b: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -194,26 +186,15 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, name="cu
     tol = 1e-10
     margin = delta + tol * (1.0 + np.abs(a_vals) ** 3)
     min_margin = float(np.min(margin))
-    idx = np.unravel_index(np.argmin(margin), shape)
-    witness = (float(t_vals[idx[0]]), float(x_vals[idx[1]]), float(xi_vals[idx[2]]))
     if min_margin < 0:
+        idx = np.unravel_index(np.argmin(margin), shape)
+        witness = (float(t_vals[idx[0]]), float(x_vals[idx[1]]), float(xi_vals[idx[2]]))
         raise HyperbolicityViolation(
             f"discriminant {float(delta[idx]):.6e} < 0 beyond tolerance at "
             f"(t, x, xi) = {witness}"
         )
 
-    report = ValidationReport(
-        grid_shape=shape,
-        t_range=(float(t_vals[0]), float(t_vals[-1])),
-        xi_range=(float(xi_vals[0]), float(xi_vals[-1])),
-        min_alpha=min_alpha,
-        min_atilde=min_atilde,
-        min_delta_margin=min_margin,
-        delta_witness=witness,
-        max_a=float(np.max(a_vals)),
-        max_abs_b=float(np.max(np.abs(b_vals))),
-        tol=tol,
-    )
+    report = ValidationReport(min_delta_margin=min_margin, max_a=float(np.max(a_vals)))
     return HyperbolicModel(alpha=alpha, atilde=atilde, b=b, c0=float(c0), T=float(T),
                            period=float(period), name=name, report=report)
 

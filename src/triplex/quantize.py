@@ -11,9 +11,9 @@ are computed by trapezoid quadrature on 2N nodes so that every needed
 difference frequency |k - k'| <= 2K is resolved without aliasing.
 
 TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
-Op(t) = sum_i t^i C_i.  A Layout is an operator affine in them (a symbol,
-Herm Op(S), the generator's first block row) and alone chooses between a
-Taylor stack and quantizing at each t.  c_star is the Fefferman-Phong
+Op(t) = sum_i t^i C_i, and decides which symbols have one.  A Layout is an
+operator affine in them (Herm Op(S), the generator's first block row),
+applied from its own Taylor stack or quantized at each t.  c_star is the Fefferman-Phong
 constant C* = -t lambda_min(G), or a Cholesky certificate that it lies
 below a floor; fp_search and the energy shift both use it.
 
@@ -243,35 +243,36 @@ class TaylorOps:
         return self._stacks[name]
 
     def op(self, name, t, V=None):
-        """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix."""
-        return Layout(self, (name,), None)(t, V)
+        """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix when there is a stack."""
+        W = self.stack(name)
+        if W is None:
+            M = op_weyl(self.symbols[name], t, self.grid)
+            return M if V is None else M @ V
+        return _horner(t, W if V is None else W @ V, self.grid.N)
 
 
 class Layout:
     """F(t) = fn(Op(s_1)(t), ..., Op(s_n)(t)) for fn affine in the named symbols of ops.
 
-    fn None stands for the one symbol itself.  When every symbol has a
-    stack, F(t) = sum_i t^i F_i with F_0 = fn(C_0) and F_i = fn(C_i) - fn(0)
-    from the symbols' t^i coefficients C_i; [F_0; ...; F_p] is built on
-    first use, and F(t) @ V is one matmul and a Horner sum.  Otherwise F is
-    built from the symbols quantized at t, kept for the last two times (an
-    RK4 step asks for t + h/2 twice).  No other code makes this choice.
-    Callers own their layouts, ops holds none: no stack outlives its user.
+    When every symbol has a stack (ops.stack decides), F(t) = sum_i t^i F_i
+    with F_0 = fn(C_0) and F_i = fn(C_i) - fn(0) from the symbols' t^i
+    coefficients C_i; [F_0; ...; F_p] is built on first use, and F(t) @ V is
+    one matmul and a Horner sum.  Otherwise F is built from the symbols
+    quantized at t, kept for the last two times (an RK4 step asks for
+    t + h/2 twice).  Callers own their layouts, ops holds none: no stack
+    outlives its user.
     """
 
     def __init__(self, ops, names, fn):
         self.ops = ops
         self.names = names
         self.fn = fn
-        self._rows = ops.grid.N  # F's row count: N for one symbol; stack sets it for fn's F
         self._recent = {}
 
     @functools.cached_property
     def stack(self):
         """[F_0; ...; F_p], built on first use; None when a symbol is not polynomial in t."""
         stacks = [self.ops.stack(name) for name in self.names]
-        if self.fn is None:
-            return stacks[0]
         if any(stack is None for stack in stacks):
             return None
         N = self.ops.grid.N
@@ -282,7 +283,7 @@ class Layout:
         const = self.fn(*(zero for _ in self.names))  # fn(0), not kept: it is as large as F
         for term in terms[1:]:
             term -= const  # in place: no copy of the stack's size
-        self._rows = len(terms[0])
+        self._rows = len(terms[0])  # F's row count, for the Horner sums
         return _taylor_stack(terms)
 
     def _at(self, t):
@@ -290,9 +291,7 @@ class Layout:
         if key not in self._recent:
             if len(self._recent) == 2:
                 self._recent.pop(next(iter(self._recent)))
-            self._recent[key] = (
-                op_weyl(self.ops.symbols[self.names[0]], t, self.ops.grid) if self.fn is None
-                else self.fn(*(self.ops.op(name, t) for name in self.names)))
+            self._recent[key] = self.fn(*(self.ops.op(name, t) for name in self.names))
         return self._recent[key]
 
     def __call__(self, t, V=None):
@@ -511,8 +510,6 @@ def sgarding_residual(entries, t, K_list, period=2.0 * math.pi):
 
 @dataclass(frozen=True)
 class FpCheckResult:
-    delta: float
-    C: float
     min_eig: float
     scale: float
     feasible: bool
@@ -545,8 +542,7 @@ def _fp_eval(H_S, M_J, P, t, delta, C):
     eigs = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     scale = 1.0 + float(np.max(np.abs(eigs)))
     min_eig = float(eigs[0])
-    return FpCheckResult(delta=float(delta), C=float(C), min_eig=min_eig, scale=scale,
-                         feasible=bool(min_eig >= -FP_TOL * scale))
+    return FpCheckResult(min_eig=min_eig, scale=scale, feasible=bool(min_eig >= -FP_TOL * scale))
 
 
 def c_star(G, t, floor):
@@ -570,7 +566,6 @@ def c_star(G, t, floor):
 class FpSearchResult:
     feasible_pairs: tuple
     best: tuple | None
-    t_values: tuple
     deltas: tuple
     Cs: tuple
 
@@ -624,7 +619,6 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None):
     return FpSearchResult(
         feasible_pairs=tuple(pairs),
         best=best,
-        t_values=tuple(float(t) for t in t_values),
         deltas=tuple(deltas),
         Cs=tuple(Cs),
     )

@@ -357,10 +357,10 @@ def test_taylor_lift_matches_short_evolution():
     rng = np.random.default_rng(10)
     data = [rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
             for _ in range(3)]
-    lift = taylor_lift(model, lot, data, order=5, grid=grid)
+    asm = Assembler(model, lot, grid)
+    lift = taylor_lift(asm, data, order=5)
 
     # residual of the generator equation at small t has the lift's order
-    asm = Assembler(model, lot, grid)
 
     def residual(t):
         # D_t = -i d/dt maps U_j (i t)^j / j! to U_j (i t)^(j-1) / (j-1)!
@@ -375,41 +375,53 @@ def test_taylor_lift_matches_short_evolution():
 
 def test_taylor_lift_coefficients_match_the_dense_recursion():
     # U_{j+1} = sum_i C(j, i) D_t^i M(0) U_{j-i}, D_t^i M(0) = (-i)^i M^(i)(0)
-    # with M^(i)(0) laid out densely from the t-derivatives of the symbols
-    model = gallery("g_E")
+    # with M^(i)(0) laid out densely from the t-derivatives of the symbols.
+    # g_E's stack has 2 blocks, so rows i >= 2 lie past its end; g_ex22's
+    # b = (t^m/2 - t)(1 - cos x) has a nonzero row i = 3 at m = 3 and a
+    # 7-block stack at m = 6
     lot = LowerOrderTerms.random_trig(21, amplitude=0.4)
     grid = FourierGrid(5)
     N = grid.N
     rng = np.random.default_rng(22)
     data = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(3)]
-    order = 5
-    lift = taylor_lift(model, lot, data, order=order, grid=grid)
-
-    exprs = [model.a_expr, model.b, lot.b10, lot.b11, lot.b12]
-    derivs = []
-    for i in range(order):
-        if i:
-            exprs = [differentiate(e, "t", 1) for e in exprs]
-        a, b, b10, b11, b12 = (op_weyl(e, 0.0, grid) for e in exprs)
-        rows = A_entries(a * grid.jp_values, b * grid.jp_values, grid.jp_values if i == 0 else 0)
-        rows[0] = [b10, rows[0][1] + b11, rows[0][2] + b12]
-        derivs.append((-1j) ** i * BlockOp.from_blocks(rows, grid).matrix)
-    want = [np.concatenate(data)]
-    for j in range(order):
-        want.append(sum(math.comb(j, i) * derivs[i] @ want[j - i] for i in range(j + 1)))
-    for got, ref in zip(lift.coefficients, want, strict=True):
-        assert _rel(got, ref) <= 1e-13
+    order = 6
+    for model in (gallery("g_E"), gallery("g_ex22", m=3), gallery("g_ex22", m=6)):
+        lift = taylor_lift(Assembler(model, lot, grid), data, order=order)
+        exprs = [model.a_expr, model.b, lot.b10, lot.b11, lot.b12]
+        derivs = []
+        for i in range(order):
+            if i:
+                exprs = [differentiate(e, "t", 1) for e in exprs]
+            a, b, b10, b11, b12 = (op_weyl(e, 0.0, grid) for e in exprs)
+            rows = A_entries(a * grid.jp_values, b * grid.jp_values,
+                             grid.jp_values if i == 0 else 0)
+            rows[0] = [b10, rows[0][1] + b11, rows[0][2] + b12]
+            derivs.append((-1j) ** i * BlockOp.from_blocks(rows, grid).matrix)
+        want = [np.concatenate(data)]
+        for j in range(order):
+            want.append(sum(math.comb(j, i) * derivs[i] @ want[j - i] for i in range(j + 1)))
+        for got, ref in zip(lift.coefficients, want, strict=True):
+            assert _rel(got, ref) <= 1e-13
 
 
 def test_taylor_lift_zeroth_coefficient_is_the_data():
     model = gallery("g_zero_b")
     grid = FourierGrid(4)
     data = [np.ones(grid.N), np.zeros(grid.N), np.zeros(grid.N)]
-    lift = taylor_lift(model, None, data, order=2, grid=grid)
+    asm = Assembler(model, None, grid)
+    lift = taylor_lift(asm, data, order=2)
     assert np.allclose(lift.coefficients[0][: grid.N], 1.0)
     assert np.allclose(lift.eval(0.0), lift.coefficients[0])
     with pytest.raises(ValueError):
-        taylor_lift(model, None, data, order=7, grid=grid)
+        taylor_lift(asm, data, order=7)
+
+
+def test_taylor_lift_needs_a_generator_polynomial_in_t():
+    # b = (t^7/2 - t)(1 - cos x) has degree 7, beyond the Taylor cap of 6: R has no stack
+    grid = FourierGrid(4)
+    data = [np.ones(grid.N), np.zeros(grid.N), np.zeros(grid.N)]
+    with pytest.raises(ValueError, match="polynomial in t"):
+        taylor_lift(Assembler(gallery("g_ex22", m=7), None, grid), data, order=2)
 
 
 # ---------------------------------------------------------------------------

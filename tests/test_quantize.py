@@ -14,6 +14,7 @@ from triplex.quantize import (
     BlockOp,
     Bump,
     FourierGrid,
+    TaylorOps,
     default_bump,
     block_weyl,
     c_star,
@@ -185,6 +186,22 @@ def test_sgarding_residual_stays_bounded_as_K_grows():
     vals = [res[k] for k in (8, 16, 32)]
     assert all(np.isfinite(v) for v in vals)
     assert max(vals) <= 4.0 * max(vals[0], 1e-12) + 10.0
+
+
+@pytest.mark.parametrize("name, params, has_stack", [("g_E", {}, True), ("g_ex22", {"m": 8}, False)])
+def test_taylor_ops_op_matches_weyl_quantization_at_t(name, params, has_stack):
+    # g_E's b is linear in t: a Taylor stack; g_ex22's b at m = 8 exceeds the cap of 6
+    model = gallery(name, **params)
+    grid = FourierGrid(8)
+    ops = TaylorOps(model, grid)
+    assert (ops.stack("b") is not None) == has_stack
+    V = np.random.default_rng(3).standard_normal((grid.N, 2)) + 0j
+    for t in (0.05, 0.6):
+        ref = op_weyl(model.b, t, grid)
+        got = ops.op("b", t)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref_V = ref @ V
+        assert np.max(np.abs(ops.op("b", t, V) - ref_V)) <= 1e-13 * np.max(np.abs(ref_V))
 
 
 def test_fp_check_monotone_in_C():

@@ -4,8 +4,15 @@ Every module-level ``def`` or ``class`` in ``src/triplex`` must be referenced
 from ``src/`` or ``perfbench/*.py`` somewhere other than its own body and
 ``__all__``; every method must be accessed there as ``.name``, unless it
 overrides a method of a base class from outside the package (argparse calls
-``error`` itself).  Tests do not count: a helper only a test calls belongs in
-that test.  A name that a function binds itself (a parameter, an assignment
+``error`` itself); every annotated class field (a dataclass field) must be
+read there as ``.name``.  Tests do not count: a helper only a test calls
+belongs in that test, and a result field only a test reads is not computed.
+
+The check goes by attribute name, not by type: a field is taken as read when
+any object's attribute of that name is loaded.  So it cannot see an unread
+field that shares its name with a read one, such as ``FpCheckResult.delta``
+or ``ValidationReport.tol`` beside the ``.delta`` and ``.tol`` of other
+objects.  A name that a function binds itself (a parameter, an assignment
 target, a nested definition) is that function's local, so loading it inside
 the function is no reference to a module-level definition of the same name.
 """
@@ -81,7 +88,7 @@ class _References(ast.NodeVisitor):
             self.names.add(node.id)
 
     def visit_Attribute(self, node):
-        if node.attr not in self._enclosing:
+        if isinstance(node.ctx, ast.Load) and node.attr not in self._enclosing:
             self.attrs.add(node.attr)
         self.generic_visit(node)
 
@@ -106,6 +113,8 @@ def _definitions():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                         yield path.stem, node.name, item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield path.stem, node.name, item.target.id
 
 
 def _overrides_external(module, cls, name):
