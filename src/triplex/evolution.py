@@ -195,13 +195,13 @@ def _march(asm, U, cfg, sample):
     """March U by RK4 from cfg.eps_start to cfg.T; returns (U, aborted).
 
     The step is h = cfg.dt (None: the CFL step) times cfg.dt_scale; step i
-    starts at t_i = eps_start + h i, and the last one is clipped at T.  More
-    than MAX_STEPS steps is a ValueError.  The slope dU/dt taken after a step
-    is the next step's first stage.  sample(t, U, dU, norms), norms the
-    column norms of U (its norm when U is one state), sees the start and
-    every step's end.  A step that grows a column's norm by more than
-    GROWTH_ABORT is discarded and stops the march (verdict "unbounded"); U
-    is then the last state sampled.
+    runs from t_i = min(eps_start + h i, T) for min(h, T - t_i).  More than
+    MAX_STEPS steps is a ValueError.  The slope dU/dt taken after a step, at
+    the one time t_(i+1) that also starts the next step, is that step's
+    first stage.  sample(t, U, dU, norms), norms the column norms of U (its
+    norm when U is one state), sees the start and every step's end.  A step
+    that grows a column's norm by more than GROWTH_ABORT is discarded and
+    stops the march (verdict "unbounded"); U is then the last state sampled.
     """
     h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
     steps = (cfg.T - cfg.eps_start) / h - 1e-12
@@ -214,16 +214,15 @@ def _march(asm, U, cfg, sample):
     dU = 1j * asm.apply(t, U)
     norms = norm(U)
     sample(t, U, dU, norms)
-    for i in range(max(1, math.ceil(steps))):
-        t = cfg.eps_start + h * i
-        step = min(h, cfg.T - t)
-        U_new = _rk4(U, t, step, asm.apply, dU)
+    for i in range(1, max(1, math.ceil(steps)) + 1):
+        U_new = _rk4(U, t, min(h, cfg.T - t), asm.apply, dU)
         norms_new = norm(U_new)
         if (norms_new > GROWTH_ABORT * np.maximum(norms, 1e-300)).any():
             return U, True
         U, norms = U_new, norms_new
-        dU = 1j * asm.apply(t + step, U)
-        sample(t + step, U, dU, norms)
+        t = min(cfg.eps_start + h * i, cfg.T)
+        dU = 1j * asm.apply(t, U)
+        sample(t, U, dU, norms)
     return U, False
 
 

@@ -647,14 +647,14 @@ def test_tiny_steps_are_counted_without_being_built(monkeypatch):
 
 
 def test_step_points_are_those_of_the_step_list():
-    # t_i = eps + i h as Python floats; each sample sits at t_i + h_i, the clipped last step included
+    # t_i = min(eps + i h, T) as Python floats: the one time of the sample after step i - 1
+    # and of step i's start, so the reused first stage is the slope at the step's start
     grid = FourierGrid(6)
     asm = Assembler(gallery("g_E"), None, grid)
     for cfg in (EvolveConfig(), EvolveConfig(dt=0.07, T=0.9), EvolveConfig(dt_scale=0.125)):
         h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
         n = max(1, math.ceil((cfg.T - cfg.eps_start) / h - 1e-12))
-        starts = [cfg.eps_start + h * i for i in range(n)]
-        want = [cfg.eps_start] + [t + min(h, cfg.T - t) for t in starts]
+        want = [cfg.eps_start] + [min(cfg.eps_start + h * i, cfg.T) for i in range(1, n + 1)]
         trace, _ = evolve(gallery("g_E"), None, seeded_state(grid, 0), cfg, grid, assembler=asm)
         assert trace.t.tolist() == want
 
