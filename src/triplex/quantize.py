@@ -13,9 +13,9 @@ difference frequency |k - k'| <= 2K is resolved without aliasing.
 TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
 Op(t) = sum_i t^i C_i, and decides which symbols have one.  A Layout is an
 operator affine in them (Herm Op(S), the generator's first block row),
-applied from its own Taylor stack or quantized at each t.  c_star is the Fefferman-Phong
-constant C* = -t lambda_min(G), or a Cholesky certificate that it lies
-below a floor; fp_search and the energy shift both use it.
+applied from its own Taylor stack or quantized at each t.  c_star is the
+Fefferman-Phong constant C* = -t lambda_min(G), or a Cholesky certificate
+that it lies below a floor; fp_search and the energy shift both use it.
 
 friedrichs_part builds the symmetrized positive part
 

@@ -361,7 +361,6 @@ def test_taylor_lift_matches_short_evolution():
     lift = taylor_lift(asm, data, order=5)
 
     # residual of the generator equation at small t has the lift's order
-
     def residual(t):
         # D_t = -i d/dt maps U_j (i t)^j / j! to U_j (i t)^(j-1) / (j-1)!
         dt_lift = sum(Uj * (1j * t) ** (j - 1) / math.factorial(j - 1)

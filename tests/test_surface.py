@@ -7,14 +7,15 @@ overrides a method of a base class from outside the package (argparse calls
 ``error`` itself); every annotated class field (a dataclass field) must be
 read there as ``.name``.  Tests do not count: a helper only a test calls
 belongs in that test, and a result field only a test reads is not computed.
+A name that a function binds itself (a parameter, an assignment target, a
+nested definition) is that function's local, so loading it inside the
+function is no reference to a module-level definition of the same name.
 
-The check goes by attribute name, not by type: a field is taken as read when
-any object's attribute of that name is loaded.  So it cannot see an unread
-field that shares its name with a read one, such as ``FpCheckResult.delta``
-or ``ValidationReport.tol`` beside the ``.delta`` and ``.tol`` of other
-objects.  A name that a function binds itself (a parameter, an assignment
-target, a nested definition) is that function's local, so loading it inside
-the function is no reference to a module-level definition of the same name.
+Methods and fields are matched by attribute name, not by type: a field is
+taken as read when any object's attribute of that name is loaded.  So the
+check cannot see an unread field that shares its name with a read attribute
+of another object, such as a ``delta`` or ``tol`` field: the ``.delta`` and
+``.tol`` of other objects are read.
 """
 
 import ast
