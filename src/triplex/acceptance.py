@@ -24,7 +24,7 @@ from .cubic import Grid3, check_condition, discriminants, root_oracle_array, roo
 from .evolution import (
     Assembler,
     EvolveConfig,
-    _rk4,
+    _march,
     energy_margins,
     evolve,
     extend_model,
@@ -396,22 +396,17 @@ def criterion_taylor_lift(quick=False, seed=0):
 
     # central 7-node samples of the true solution around t = 0; the node
     # spacing shrinks with K to hold the h^4 truncation term below the
-    # budget while keeping rounding noise (which grows like h^-3) under 10%
+    # budget while keeping rounding noise (which grows like h^-3) under 10%;
+    # one march each way from t = 0 in steps of h/sub, kept at every sub-th sample
     h = 8e-3 / grid.K
     sub = 50
-
-    def march(U, t_from, t_to):
-        step = (t_to - t_from) / sub
-        t = t_from
-        for _ in range(sub):
-            U = _rk4(U, t, step, asm.apply)
-            t += step
-        return U
-
-    samples = {0: np.concatenate(data).astype(complex)}
-    for m in range(1, 4):
-        samples[m] = march(samples[m - 1], (m - 1) * h, m * h)
-        samples[-m] = march(samples[-(m - 1)], -(m - 1) * h, -m * h)
+    U0 = np.concatenate(data).astype(complex)
+    samples = {0: U0}
+    for sign in (1, -1):
+        states = []
+        _march(asm, U0, 0.0, sign * 3 * h, sign * h / sub,
+               lambda t, U, dU, norms: states.append(U))
+        samples.update({sign * m: states[m * sub] for m in (1, 2, 3)})
     nodes = np.arange(-3, 4)
     W = np.stack([samples[m] - lift.eval(m * h) for m in nodes])
     U_samp = np.stack([samples[m] for m in nodes])
@@ -557,10 +552,8 @@ def run_all(quick=False, seed=0, out_dir=None, echo=None):
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        reporting.write_json(os.path.join(out_dir, "acceptance_report.json"),
-                             report.json_dict())
-        for fname, text in _bundle(seed).items():
-            with open(os.path.join(out_dir, fname), "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write(text)
+        files = {"acceptance_report.json": reporting.json_text(report.json_dict()),
+                 **_bundle(seed)}
+        for fname, text in files.items():
+            reporting.write_text(os.path.join(out_dir, fname), text)
     return report

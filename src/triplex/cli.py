@@ -30,6 +30,7 @@ from .cubic import (
 )
 from .evolution import (
     EvolveConfig,
+    SweepRow,
     energy_margins,
     evolve,
     extend_model,
@@ -96,20 +97,9 @@ def _check_nt(nt):
         raise ValueError(f"--nt must be at least 1, got {nt}")
 
 
-def _check_horizon(model, t1, flag="--t1"):
-    """The model is validated on [0, T] only; a later or non-finite time is a usage error."""
-    if not math.isfinite(t1):
-        raise ModelError(f"{flag} must be a finite number, got {t1}")
-    if t1 > model.T:
-        raise ModelError(
-            f"{flag} {t1:g} lies beyond the model horizon T = {model.T:g}, the end of the "
-            f"interval the model was validated on; give a longer horizon in the "
-            f"name:T=... form (name:T={t1:g}) or as a 'T = ...' line in a model file")
-
-
 def _check_time(model, t, flag):
     """A start or evaluation time must be a finite number in [0, T]."""
-    _check_horizon(model, t, flag)
+    model.check_horizon(t, flag)
     if t < 0:
         raise ValueError(f"{flag} must be non-negative, got {t:g}")
 
@@ -121,25 +111,20 @@ def _lot_for(args, lot_from_file):
     return lot_from_file
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _emit(args, payload, artifacts=()):
     """Print the JSON summary; under --out write it and the artifacts.
 
-    Each artifact is (fname, write), and write(path) renders and writes the
-    file, so nothing is rendered when there is no --out.
+    Each artifact is (fname, render), and render() gives the file's text,
+    so nothing is rendered when there is no --out.
     """
     text = reporting.json_text(payload)
     sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
         os.makedirs(out, exist_ok=True)
-        _write_text(os.path.join(out, f"{args.command}.json"), text)
-        for fname, write in artifacts:
-            write(os.path.join(out, fname))
+        reporting.write_text(os.path.join(out, f"{args.command}.json"), text)
+        for fname, render in artifacts:
+            reporting.write_text(os.path.join(out, fname), render())
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +169,7 @@ def _cmd_analyze(args):
 
     _emit(args, payload,
           [("analyze_sweep.csv",
-            lambda path: reporting.write_csv(path, ("t", "x", "xi", "a", "b", "delta"), rows()))])
+            lambda: reporting.csv_text(("t", "x", "xi", "a", "b", "delta"), rows()))])
     return PASS if hyperbolic else VERDICT_FAIL
 
 
@@ -197,12 +182,12 @@ def _cmd_conditions(args):
         rep = check_condition(model, args.which, grid, delta=args.delta)
         payload = rep.to_json_dict()
 
-        def sweep(path):
+        def sweep():
             t, alpha, a, b, _ = grid_fields(model, grid)
             dd = 4.0 * a**3 - 27.0 * b**2
             w = t**2 * (t + alpha) if args.which == "H" else t * (t + alpha) ** 2
             curve = np.min(dd / w, axis=(1, 2))
-            reporting.write_csv(path, ("t", "min_ratio"), zip(grid.t_vals, curve))
+            return reporting.csv_text(("t", "min_ratio"), zip(grid.t_vals, curve))
 
         art = [("conditions_sweep.csv", sweep)]
         ok = rep.holds
@@ -247,7 +232,7 @@ def _cmd_symmetrizer(args):
         "feasible_at_one": sym.feasible_at_one,
     }
 
-    def points(path):
+    def points():
         S = matrix_S(a, b)
         mineig = np.linalg.eigvalsh(S)[..., 0]
         local = np.maximum(pointwise_delta(S, a, t), 0.0)
@@ -256,8 +241,8 @@ def _cmd_symmetrizer(args):
                 for i in range(len(grid.t_vals))
                 for j in range(len(grid.x_vals))
                 for k in range(len(grid.xi_vals)))
-        reporting.write_csv(
-            path, ("t", "x", "xi", "a", "b", "mineig_S", "delta_sym_local"), rows)
+        return reporting.csv_text(
+            ("t", "x", "xi", "a", "b", "mineig_S", "delta_sym_local"), rows)
 
     _emit(args, payload, [("symmetrizer_points.csv", points)])
     return PASS if ok else VERDICT_FAIL
@@ -289,7 +274,7 @@ def _cmd_quantize(args):
         "weighted_residual_by_K": {str(k): v for k, v in resid.items()},
     }
     _emit(args, payload,
-          [("weyl_a.csv", lambda path: _write_text(path, reporting.operator_csv_text(op_a)))])
+          [("weyl_a.csv", lambda: reporting.operator_csv_text(op_a))])
     return PASS if ok else VERDICT_FAIL
 
 
@@ -336,26 +321,28 @@ def _cmd_fpcheck(args):
 
 def _cmd_evolve(args):
     model, lot_file = _resolve_model(args.model)
-    _check_horizon(model, args.t1)
+    model.check_horizon(args.t1, "--t1")
     lot = _lot_for(args, lot_file)
     grid = FourierGrid(args.grid_k, model.period)
     U0 = seeded_state(grid, args.seed)
     searched = None
-    n_weight, lam = args.n_weight, getattr(args, "lam")
+    n_weight, lam = args.n_weight, args.lam
     if n_weight is None or lam is None:
+        # N* is measured at the given lam, or at the searched one
         consts = search_energy_constants(model, lot, grid, eps_start=args.eps_start,
-                                         T=args.t1, gamma=args.gamma, U0=U0, dt=args.dt)
+                                         T=args.t1, gamma=args.gamma, U0=U0, dt=args.dt,
+                                         lam=lam)
         searched = {"n_star": consts.n_star, "n_weight": consts.n_weight,
                     "gamma": consts.gamma, "lam": consts.lam}
         n_weight = consts.n_weight if n_weight is None else n_weight
-        lam = consts.lam if lam is None else lam
+        lam = consts.lam
         n_star = consts.n_star
     else:
         n_star = args.n_weight
     cfg = EvolveConfig(eps_start=args.eps_start, T=args.t1, dt=args.dt,
                        n_weight=n_weight, n_star=min(n_star, n_weight),
                        gamma=args.gamma, lam=lam)
-    if searched is not None and lam == consts.lam:
+    if searched is not None:
         # the constants run is this run: same U0, step and lam; only E's weight differs.
         # A search whose run blew up gives N = N* = inf, and there is no energy to weigh.
         if not (consts.trace.aborted and args.n_weight is None):
@@ -364,7 +351,7 @@ def _cmd_evolve(args):
     else:
         trace, _ = evolve(model, lot, U0, cfg, grid)  # validates cfg
     verdicts = {"aborted": trace.aborted}
-    artifacts = [("trace.csv", lambda path: _write_text(path, reporting.energy_csv_text(trace)))]
+    artifacts = [("trace.csv", lambda: reporting.energy_csv_text(trace))]
     ok = not trace.aborted
     if trace.aborted:
         verdicts["verdict"] = "unbounded"
@@ -377,8 +364,8 @@ def _cmd_evolve(args):
             "margins_passed": margins.passed,
         })
         ok = margins.passed
-        artifacts.append(("energy.svg", lambda path: emit_plot(trace, path)))
-        artifacts.append(("margins.svg", lambda path: emit_plot(margins, path)))
+        artifacts.append(("energy.svg", lambda: emit_plot(trace, None)))
+        artifacts.append(("margins.svg", lambda: emit_plot(margins, None)))
     payload = {
         "model": model.name,
         "source": args.model,
@@ -397,7 +384,7 @@ def _cmd_evolve(args):
 
 def _cmd_loss(args):
     model, lot_file = _resolve_model(args.model)
-    _check_horizon(model, args.t1)
+    model.check_horizon(args.t1, "--t1")
     lot = _lot_for(args, lot_file)
     grid = FourierGrid(args.grid_k, model.period)
     k_list, k = [], 4
@@ -416,11 +403,10 @@ def _cmd_loss(args):
         "bounded": ok,
     }
     jp = np.sqrt(1.0 + (np.array(k_list, dtype=float) * grid.base_freq) ** 2)
-    artifacts = [("loss.csv",
-                  lambda path: reporting.write_csv(path, ("k", "jp", "growth"),
-                                                   zip(rep.modes, jp, rep.growth)))]
+    artifacts = [("loss.csv", lambda: reporting.csv_text(("k", "jp", "growth"),
+                                                         zip(rep.modes, jp, rep.growth)))]
     if ok:
-        artifacts.append(("loss.svg", lambda path: emit_plot(rep, path)))
+        artifacts.append(("loss.svg", lambda: emit_plot(rep, None)))
     _emit(args, payload, artifacts)
     return PASS if ok else VERDICT_FAIL
 
@@ -459,23 +445,15 @@ def _cmd_regularize(args):
                            grid_k=args.grid_k, seed=args.seed)
     payload = {
         "model": model.name,
-        "rows": [
-            {"eps": r.eps, "delta_best_E": r.delta_best_E, "delta_sym": r.delta_sym,
-             "fp_delta": r.fp_delta, "fp_C": r.fp_C, "n_star": r.n_star,
-             "min_margin": r.min_margin}
-            for r in rep.rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in rep.rows],
         "stable_within": rep.stable_within,
         "passed": rep.passed,
     }
+    columns = tuple(f.name for f in dataclasses.fields(SweepRow))
     artifacts = [
-        ("regularize.csv", lambda path: reporting.write_csv(
-            path,
-            ("eps", "delta_best_E", "delta_sym", "fp_delta", "fp_C",
-             "n_star", "min_margin"),
-            ((r.eps, r.delta_best_E, r.delta_sym, r.fp_delta, r.fp_C,
-              r.n_star, r.min_margin) for r in rep.rows))),
-        ("regularize.svg", lambda path: emit_plot(rep, path)),
+        ("regularize.csv",
+         lambda: reporting.csv_text(columns, (dataclasses.astuple(r) for r in rep.rows))),
+        ("regularize.svg", lambda: emit_plot(rep, None)),
     ]
     _emit(args, payload, artifacts)
     return PASS if rep.passed else VERDICT_FAIL

@@ -62,6 +62,10 @@ class EvolveConfig:
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
 
+    def step(self, asm):
+        """The RK4 step h: dt (None: the CFL step of asm) times dt_scale."""
+        return (self.dt if self.dt is not None else asm.cfl_dt(self.cfl)) * self.dt_scale
+
 
 # a step that grows |U| by more than this factor aborts the run (verdict "unbounded")
 GROWTH_ABORT = 1e6
@@ -177,50 +181,43 @@ class EnergyTrace:
                    self.n1sq[i], self.n2sq[i], self.aU3U3[i], self.norm[i])
 
 
-def _check_horizon(model, T):
-    """The model is validated on [0, model.T] only; integrating past it is an error."""
-    if not math.isfinite(T):
-        raise ValueError(f"integration end must be finite, got {T}")
-    if T > model.T:
-        raise ValueError(f"integration end {T:g} lies beyond the model horizon T = {model.T:g}")
-
-
 # The most RK4 steps one march may take.  The largest count any gate, test or
 # benchmark path takes is 822 (c06's dt/8 run at K=16); the K=128 loss probe
 # at the CFL step takes 821.
 MAX_STEPS = 2**20
 
 
-def _march(asm, U, cfg, sample):
-    """March U by RK4 from cfg.eps_start to cfg.T; returns (U, aborted).
+def _march(asm, U, t0, T, h, sample):
+    """March U by RK4 from t0 to T in steps of h; returns (U, aborted).
 
-    The step is h = cfg.dt (None: the CFL step) times cfg.dt_scale; step i
-    runs from t_i = min(eps_start + h i, T) for min(h, T - t_i).  More than
-    MAX_STEPS steps is a ValueError.  The slope dU/dt taken after a step, at
-    the one time t_(i+1) that also starts the next step, is that step's
-    first stage.  sample(t, U, dU, norms), norms the column norms of U (its
-    norm when U is one state), sees the start and every step's end.  A step
-    that grows a column's norm by more than GROWTH_ABORT is discarded and
-    stops the march (verdict "unbounded"); U is then the last state sampled.
+    h < 0 marches backwards.  The march takes n = max(1, ceil((T - t0)/h
+    - 1e-12)) steps; step i starts at t0 + h i, and the last one runs for
+    T - t and ends exactly at T.  More than MAX_STEPS steps is a ValueError.
+    The slope dU/dt taken after a step, at the one time that also starts the
+    next step, is that step's first stage.  sample(t, U, dU, norms), norms
+    the column norms of U (its norm when U is one state), sees the start and
+    every step's end.  A step that grows a column's norm by more than
+    GROWTH_ABORT is discarded and stops the march (verdict "unbounded"); U is
+    then the last state sampled.
     """
-    h = (cfg.dt if cfg.dt is not None else asm.cfl_dt(cfg.cfl)) * cfg.dt_scale
-    steps = (cfg.T - cfg.eps_start) / h - 1e-12
+    steps = (T - t0) / h - 1e-12
     if steps > MAX_STEPS:
         raise ValueError(f"step h = {h:.3g} needs n = {steps:.3g} RK4 steps, "
                          f"more than MAX_STEPS = {MAX_STEPS}")
+    n = max(1, math.ceil(steps))
     # one state takes numpy's whole-vector norm, cheaper per step than a column reduction
     norm = np.linalg.norm if U.ndim == 1 else functools.partial(np.linalg.norm, axis=0)
-    t = cfg.eps_start
+    t = t0
     dU = 1j * asm.apply(t, U)
     norms = norm(U)
     sample(t, U, dU, norms)
-    for i in range(1, max(1, math.ceil(steps)) + 1):
-        U_new = _rk4(U, t, min(h, cfg.T - t), asm.apply, dU)
+    for i in range(1, n + 1):
+        U_new = _rk4(U, t, h if i < n else T - t, asm.apply, dU)
         norms_new = norm(U_new)
         if (norms_new > GROWTH_ABORT * np.maximum(norms, 1e-300)).any():
             return U, True
         U, norms = U_new, norms_new
-        t = min(cfg.eps_start + h * i, cfg.T)
+        t = t0 + h * i if i < n else T
         dU = 1j * asm.apply(t, U)
         sample(t, U, dU, norms)
     return U, False
@@ -237,7 +234,7 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, assembler=None):
     measured against it.
     """
     cfg.validate()
-    _check_horizon(model, cfg.T)
+    model.check_horizon(cfg.T, "integration end")
     asm = assembler or Assembler(model, lot, grid)
     N = grid.N
     rows = []
@@ -249,7 +246,8 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, assembler=None):
                      np.vdot(U[:N], U[:N]).real, np.vdot(U[N : 2 * N], U[N : 2 * N]).real,
                      np.vdot(u3, asm.ops.op("a", t, u3)).real, norms))
 
-    U, aborted = _march(asm, np.array(U0, dtype=complex), cfg, record)
+    U, aborted = _march(asm, np.array(U0, dtype=complex), cfg.eps_start, cfg.T, cfg.step(asm),
+                        record)
     t, Q, dQ, n1sq, n2sq, aU3U3, norm = np.array(rows).T.copy()
     if not np.all(Q > 0):
         bad = int(np.argmin(Q > 0))
@@ -275,7 +273,6 @@ class MarginReport:
     argmin_t: float
     int_defect: float          # integrated-inequality defect
     passed: bool
-    tol: float
 
 
 def energy_margins(trace: EnergyTrace, tol=0.05):
@@ -326,7 +323,6 @@ def energy_margins(trace: EnergyTrace, tol=0.05):
         argmin_t=float(tbar[i]) if len(margins) else math.nan,
         int_defect=int_defect,
         passed=bool(len(margins) and float(margins[i]) >= -tol),
-        tol=tol,
     )
 
 
@@ -376,11 +372,12 @@ def seeded_state(grid, seed):
 
 
 def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
-                            U0=None, seed=0, dt=None):
+                            U0=None, seed=0, dt=None, lam=None):
     """Measure workable (N*, N, gamma, lam) on one trajectory at the step dt.
 
-    dt is the caller's evolve step (None: the CFL step).  lam: smallest
-    power of two with Herm(Op S) + (lam/2) t^-1 jp^-2 >= 0 at 7 times in
+    dt is the caller's evolve step (None: the CFL step), and lam the
+    caller's energy shift; N* is measured at that lam.  lam=None searches
+    it: the smallest power of two with Herm(Op S) + (lam/2) t^-1 jp^-2 >= 0 at 7 times in
     [eps_start, T], doubled once for headroom: 4 sup C*(t, 0) rounded up,
     by c_star with the running sup as floor, or 1 when sup C* <= 0.  N*: sup
     of t (dQ/dt / Q - gamma) over the run, clamped at 0, with the exact
@@ -392,17 +389,19 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
     growth abort, N* = N = inf and the trace comes back flagged aborted; an
     energy that is not positive (nan included) raises in evolve.
     """
-    cfg = EvolveConfig(eps_start=eps_start, T=T, dt=dt, gamma=gamma)
+    cfg = EvolveConfig(eps_start=eps_start, T=T, dt=dt, gamma=gamma,
+                       lam=1.0 if lam is None else lam)
     cfg.validate()
-    _check_horizon(model, T)
+    model.check_horizon(T, "integration end")
     asm = Assembler(model, lot, grid)
-    jp_block = np.concatenate([grid.jp_values] * 3)
-    c_sup = 0.0
-    for t in np.geomspace(eps_start, T, 7):
-        c = c_star(jp_block[:, None] * asm.S(t) * jp_block[None, :], t, c_sup)
-        if c is not None:
-            c_sup = max(c_sup, c)
-    cfg.lam = 2.0 ** math.ceil(math.log2(4.0 * c_sup)) if c_sup > 0 else 1.0
+    if lam is None:
+        jp_block = np.concatenate([grid.jp_values] * 3)
+        c_sup = 0.0
+        for t in np.geomspace(eps_start, T, 7):
+            c = c_star(jp_block[:, None] * asm.S(t) * jp_block[None, :], t, c_sup)
+            if c is not None:
+                c_sup = max(c_sup, c)
+        cfg.lam = 2.0 ** math.ceil(math.log2(4.0 * c_sup)) if c_sup > 0 else 1.0
 
     if U0 is None:
         U0 = seeded_state(grid, seed)
@@ -440,7 +439,7 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
     cfg.validate()
     if len(k_list) < 2:
         raise ValueError(f"loss_probe needs at least two modes to fit an exponent, got {len(k_list)}")
-    _check_horizon(model, cfg.T)
+    model.check_horizon(cfg.T, "integration end")
     asm = Assembler(model, lot, grid)
     N = grid.N
     nb = len(k_list)
@@ -455,7 +454,7 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
     def track(t, U, dU, norms):
         np.maximum(sup, norms, out=sup)
 
-    _, aborted = _march(asm, U, cfg, track)
+    _, aborted = _march(asm, U, cfg.eps_start, cfg.T, cfg.step(asm), track)
     if aborted:
         return LossReport(tuple(k_list), tuple(float(v) for v in sup), math.inf, True)
     jp = np.sqrt(1.0 + (np.asarray(k_list, dtype=float) * grid.base_freq) ** 2)
@@ -632,7 +631,6 @@ def extend_model(local: HyperbolicModel, window, delta_floor=1e-8):
 @dataclass(frozen=True)
 class TaylorLift:
     coefficients: tuple      # U_j, j = 0..order
-    grid: FourierGrid
 
     def eval(self, t):
         out = np.zeros_like(self.coefficients[0])
@@ -654,8 +652,7 @@ def taylor_lift(asm, data, order):
     """
     if not 0 <= order <= 6:
         raise ValueError("order must be between 0 and 6")
-    grid = asm.ops.grid
-    N = grid.N
+    N = asm.ops.grid.N
     U0 = np.concatenate([np.asarray(v, dtype=complex) for v in data])
     if U0.shape != (3 * N,):
         raise ValueError("data must be three coefficient vectors of length N")
@@ -677,7 +674,7 @@ def taylor_lift(asm, data, order):
         for i in range(j + 1):
             nxt += math.comb(j, i) * gen_deriv(i, coeffs[j - i])
         coeffs.append(nxt)
-    return TaylorLift(coefficients=tuple(coeffs), grid=grid)
+    return TaylorLift(coefficients=tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

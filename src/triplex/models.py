@@ -66,6 +66,19 @@ class HyperbolicModel:
         """Symbol a = (t + alpha) * atilde."""
         return (T + self.alpha) * self.atilde
 
+    def check_horizon(self, t, what):
+        """The model is validated on [0, T] only; a later or non-finite time t is a ValueError.
+
+        what names the time in the message, such as a CLI flag.
+        """
+        if not math.isfinite(t):
+            raise ValueError(f"{what} must be a finite number, got {t}")
+        if t > self.T:
+            raise ValueError(
+                f"{what} {t:g} lies beyond the model horizon T = {self.T:g}, the end of the "
+                f"interval the model was validated on; give a longer horizon in the "
+                f"name:T=... form (name:T={t:g}) or as a 'T = ...' line in a model file")
+
     def with_alpha(self, eps):
         """The model with alpha replaced by alpha + eps, named g_eps(name,eps)."""
         return build_model(

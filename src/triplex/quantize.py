@@ -120,7 +120,6 @@ class BlockOp:
     """Dense operator on b stacked coefficient vectors."""
 
     matrix: np.ndarray
-    grid: FourierGrid
     blocks: int = 3
 
     @staticmethod
@@ -143,7 +142,7 @@ class BlockOp:
                     # the block's diagonal: every (b N + 1)-th entry from its corner
                     corner = (i * b * N + j) * N
                     flat[corner : corner + N * (b * N + 1) : b * N + 1] = blk
-        return BlockOp(out, grid, blocks=b)
+        return BlockOp(out, blocks=b)
 
     def min_eig(self):
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
@@ -448,7 +447,7 @@ def friedrichs_part(entries, t, grid):
     if isinstance(entries, Expr):
         entries = [[entries]]
     mat = _friedrichs_matrix(entries, t, grid, default_bump(), FRIEDRICHS_PPU)
-    return BlockOp(mat, grid, blocks=len(entries))
+    return BlockOp(mat, blocks=len(entries))
 
 
 # ---------------------------------------------------------------------------

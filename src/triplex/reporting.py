@@ -17,16 +17,21 @@ import numpy as np
 from .evolution import EnergyTrace, LossReport, MarginReport, SweepReport
 
 __all__ = [
+    "write_text",
     "json_text",
-    "write_json",
     "csv_text",
-    "write_csv",
     "energy_csv_text",
     "operator_csv_text",
     "Series",
     "line_plot",
     "emit_plot",
 ]
+
+
+def write_text(path, text):
+    """Write a report file as UTF-8 with newline line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +70,6 @@ def json_text(obj):
     return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, obj):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_text(obj))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -94,12 +93,6 @@ def csv_text(header, rows):
             raise ValueError(f"row has {len(row)} cells, header has {ncol}")
         lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
-    return path
 
 
 def energy_csv_text(trace: EnergyTrace):
@@ -164,7 +157,7 @@ def _tick_label(v, log):
     return f"{10.0 ** v:.3g}" if log else f"{v:.4g}"
 
 
-def line_plot(series, path=None, title="", xlabel="", ylabel="",
+def line_plot(series, title="", xlabel="", ylabel="",
               logx=False, logy=False, annotations=()):
     """Self-contained SVG line/scatter plot; returns the SVG text.
 
@@ -244,28 +237,24 @@ def line_plot(series, path=None, title="", xlabel="", ylabel="",
         out.append(f'<text x="{_W - _MR - 6}" y="{base + 14 * k}" text-anchor="end" '
                    f'{font}>{note}</text>')
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(out) + "\n"
 
 
 def emit_plot(obj, path):
-    """Dispatch a report object to the matching SVG rendering."""
+    """Render a report object as SVG; returns the text, also written to path unless it is None."""
     if isinstance(obj, EnergyTrace):
         if len(obj.t) == 0 or len(obj.E) == 0:
             raise ValueError("energy trace is empty")
-        return line_plot([Series(obj.t, obj.E, "E(t)")], path,
-                         title="weighted energy", xlabel="t", ylabel="E")
-    if isinstance(obj, MarginReport):
+        svg = line_plot([Series(obj.t, obj.E, "E(t)")],
+                        title="weighted energy", xlabel="t", ylabel="E")
+    elif isinstance(obj, MarginReport):
         if len(obj.midpoints) == 0:
             raise ValueError("margin report is empty")
-        return line_plot([Series(obj.midpoints, obj.margins, "margin")], path,
-                         title="energy inequality margins", xlabel="t",
-                         ylabel="normalized margin",
-                         annotations=(f"min = {obj.min_margin:.3e}",))
-    if isinstance(obj, LossReport):
+        svg = line_plot([Series(obj.midpoints, obj.margins, "margin")],
+                        title="energy inequality margins", xlabel="t",
+                        ylabel="normalized margin",
+                        annotations=(f"min = {obj.min_margin:.3e}",))
+    elif isinstance(obj, LossReport):
         ks = np.asarray(obj.modes, dtype=float)
         sup = np.asarray(obj.growth, dtype=float)
         if len(ks) == 0:
@@ -274,16 +263,20 @@ def emit_plot(obj, path):
         series = [Series(ks, sup, "sup growth", marker=True)]
         if fit is not None:
             series.append(Series(ks, fit, "power fit"))
-        return line_plot(series, path, title="derivative-loss probe",
-                         xlabel="mode k", ylabel="sup |U| / |U(eps)|",
-                         logx=True, logy=True,
-                         annotations=(f"slope = {obj.exponent:.3f}",))
-    if isinstance(obj, SweepReport):
+        svg = line_plot(series, title="derivative-loss probe",
+                        xlabel="mode k", ylabel="sup |U| / |U(eps)|",
+                        logx=True, logy=True,
+                        annotations=(f"slope = {obj.exponent:.3f}",))
+    elif isinstance(obj, SweepReport):
         if not obj.rows:
             raise ValueError("sweep report is empty")
         eps = np.array([r.eps for r in obj.rows])
         vals = np.array([r.delta_best_E for r in obj.rows])
-        return line_plot([Series(eps, vals, "delta_best", marker=True)], path,
-                         title="regularization sweep", xlabel="eps",
-                         ylabel="delta_best", logx=True)
-    raise TypeError(f"no plot rendering for {type(obj).__name__}")
+        svg = line_plot([Series(eps, vals, "delta_best", marker=True)],
+                        title="regularization sweep", xlabel="eps",
+                        ylabel="delta_best", logx=True)
+    else:
+        raise TypeError(f"no plot rendering for {type(obj).__name__}")
+    if path is not None:
+        write_text(path, svg)
+    return svg

@@ -112,7 +112,6 @@ def grid_fields(model, grid):
 class DeltaSymReport:
     delta_sym: float
     feasible_at_one: bool
-    grid: dict
     tol: float
 
 
@@ -153,8 +152,8 @@ def lower_bound_delta(model: HyperbolicModel, grid):
         return bool(np.all(eigs[..., 0] >= -tol * scale))
 
     if not feasible(1e-8):
-        return DeltaSymReport(0.0, False, grid.describe(), tol)
+        return DeltaSymReport(0.0, False, tol)
     feasible_one = feasible(1.0)
     lo, hi = (1.0, 2.0**31) if feasible_one else (1e-8, 1.0)
     delta = min(max(float(np.min(pointwise_delta(S, a, t))), lo), hi)
-    return DeltaSymReport(delta, feasible_one, grid.describe(), tol)
+    return DeltaSymReport(delta, feasible_one, tol)

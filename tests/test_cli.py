@@ -192,12 +192,22 @@ def test_evolve_integrates_its_state_once(capsys, monkeypatch):
         return real(U, t, *args)
 
     monkeypatch.setattr(evolution, "_rk4", counting)
-    for extra in ([], ["--n-weight", "0.5"], ["--dt", "0.02"]):
+    for extra in ([], ["--n-weight", "0.5"], ["--lambda", "0.5"], ["--dt", "0.02"]):
         starts.clear()
         assert run(["evolve", "--model", "g_E", "--grid-k", "6", "--lot-seed", "3"] + extra) == 0
         payload = _json_out(capsys)
         assert len(starts) == payload["steps"] and np.all(np.diff(starts) > 0), extra
     assert payload["cfg"]["dt"] == 0.02 and payload["steps"] == 50
+
+
+def test_evolve_measures_n_star_at_the_given_lambda(capsys):
+    # N* measured at the searched lam = 1 (0.0204) gives min margin -0.051 at lam = 0.5;
+    # measured on the lam = 0.5 run itself it is 0.0535, and the margins hold
+    assert run(["evolve", "--model", "g_E", "--lot-seed", "3", "--lambda", "0.5"]) == 0
+    payload = _json_out(capsys)
+    assert payload["searched_constants"]["lam"] == 0.5 == payload["cfg"]["lambda"]
+    assert payload["cfg"]["n_star"] == payload["searched_constants"]["n_star"]
+    assert payload["verdicts"]["margins_passed"] is True
 
 
 def test_evolve_past_the_stability_limit_is_unbounded(capsys):

@@ -111,7 +111,7 @@ def test_energy_margins_pass_with_searched_constants():
     trace, _ = evolve(model, lot, U0, cfg, grid)
     rep = energy_margins(trace)
     assert rep.passed
-    assert rep.min_margin >= -rep.tol
+    assert rep.min_margin >= -0.05
     assert len(rep.margins) == len(trace.t) - 1
     assert math.pow(2.0, round(math.log2(consts.lam))) == consts.lam
     assert consts.n_star >= 0.0

@@ -17,8 +17,7 @@ from triplex.reporting import (
     json_text,
     line_plot,
     operator_csv_text,
-    write_csv,
-    write_json,
+    write_text,
 )
 
 
@@ -74,10 +73,10 @@ def test_csv_text_rejects_ragged_rows():
 def test_file_writers(tmp_path):
     jpath = tmp_path / "out.json"
     cpath = tmp_path / "out.csv"
-    write_json(str(jpath), {"k": 1})
-    write_csv(str(cpath), ("a",), [(1.0,)])
+    write_text(str(jpath), json_text({"k": 1}))
+    write_text(str(cpath), csv_text(("a",), [(1.0,)]))
     assert json.loads(jpath.read_text()) == {"k": 1}
-    assert cpath.read_text().startswith("a\n")
+    assert cpath.read_bytes() == b"a\n1.0\n"
 
 
 def test_operator_csv_is_row_major():
@@ -123,7 +122,9 @@ def test_emit_plot_dispatches_and_writes(tmp_path):
 
 def test_line_plot_bytes_are_stable(tmp_path):
     series = [Series([1.0, 2.0, 4.0], [2.0, 3.0, 5.0])]
-    a = line_plot(series, str(tmp_path / "a.svg"), xlabel="x", ylabel="y")
-    b = line_plot(series, str(tmp_path / "b.svg"), xlabel="x", ylabel="y")
+    a = line_plot(series, xlabel="x", ylabel="y")
+    b = line_plot(series, xlabel="x", ylabel="y")
     assert a == b
+    write_text(str(tmp_path / "a.svg"), a)
+    write_text(str(tmp_path / "b.svg"), b)
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
