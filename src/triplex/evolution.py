@@ -134,10 +134,8 @@ def _re_inner(X, Y):
     return np.real(np.sum(X.conj() * Y, axis=0))
 
 
-def _rk4(U, t, h, apply_gen, k1=None):
-    """One classical RK4 step of dU/dt = i M(t) U; k1, when known, is the slope at (t, U)."""
-    if k1 is None:
-        k1 = 1j * apply_gen(t, U)
+def _rk4(U, t, h, apply_gen, k1):
+    """One classical RK4 step of dU/dt = i M(t) U; k1 is the slope at (t, U)."""
     k2 = 1j * apply_gen(t + 0.5 * h, U + 0.5 * h * k1)
     k3 = 1j * apply_gen(t + 0.5 * h, U + 0.5 * h * k2)
     k4 = 1j * apply_gen(t + h, U + h * k3)
@@ -647,8 +645,9 @@ def taylor_lift(asm, data, order):
     D_t^(j+1) U = D_t^j (M U) at t = 0 reads D_t^i M(0) off the Taylor stack
     of M's first block row, R(t) = sum_i t^i W_i: for i >= 1 it is
     (-i)^i i! W_i on the first block row and 0 below it (the <D> shifts are
-    constant in t), and 0 past the stack's end.  order is capped at 6.  A
-    generator not polynomial in t has no stack and raises ValueError.
+    constant in t), and 0 past the stack's end.  W_i is applied in the
+    stack's own storage, dense or banded (Layout.term).  order is capped at
+    6.  A generator not polynomial in t has no stack and raises ValueError.
     """
     if not 0 <= order <= 6:
         raise ValueError("order must be between 0 and 6")
@@ -665,7 +664,7 @@ def taylor_lift(asm, data, order):
             return asm.apply(0.0, V)
         out = np.zeros(3 * N, dtype=complex)
         if (i + 1) * N <= len(W):
-            out[:N] = (-1j) ** i * math.factorial(i) * W[i * N : (i + 1) * N] @ V
+            out[:N] = (-1j) ** i * math.factorial(i) * asm.R.term(i, V)
         return out
 
     coeffs = [U0]

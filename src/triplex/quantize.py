@@ -1,8 +1,12 @@
 """Quantization of (x, xi) symbols on a Fourier-truncated torus.
 
 Functions live in the span of e^(i k w0 x), |k| <= K, w0 = 2 pi / period,
-represented by their coefficient vectors.  Operators are dense complex
-matrices in that basis.
+represented by their coefficient vectors.  Operators are complex matrices
+in that basis, dense except for the Taylor stacks of a Layout: the Weyl
+quantization of a trig polynomial of degree bw w0 in x is banded,
+M[k, k'] = 0 for |k - k'| > bw, and a Layout whose symbols all are such
+stores its stack by those diagonals once the grid has N >= 8 (2 bw + 1)
+modes (see Layout).
 
 op_weyl uses midpoint frequencies: M[k, k'] = qhat(k - k'; w0 (k + k')/2)
 where qhat(m; xi) is the m-th x-Fourier coefficient of q(., xi).  The
@@ -13,9 +17,10 @@ difference frequency |k - k'| <= 2K is resolved without aliasing.
 TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
 Op(t) = sum_i t^i C_i, and decides which symbols have one.  A Layout is an
 operator affine in them (Herm Op(S), the generator's first block row),
-applied from its own Taylor stack or quantized at each t.  c_star is the
-Fefferman-Phong constant C* = -t lambda_min(G), or a Cholesky certificate
-that it lies below a floor; fp_search and the energy shift both use it.
+applied from its own Taylor stack, dense or banded, or quantized at each
+t.  c_star is the Fefferman-Phong constant C* = -t lambda_min(G), or a
+Cholesky certificate that it lies below a floor; fp_search and the energy
+shift both use it.
 
 friedrichs_part builds the symmetrized positive part
 
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import Expr, Const, differentiate
+from .symbols import Expr, Const, differentiate, x_degree
 from .symmetrizer import J_entries, S_entries
 
 __all__ = [
@@ -250,16 +255,32 @@ class TaylorOps:
         return _horner(t, W if V is None else W @ V, self.grid.N)
 
 
+# A block's band is stored once it spans at most 1/_BAND_PAYOFF of the block's columns.
+# Measured on g_E: R's 5-wide band beats its dense stack from K = 16 (N = 33), Herm Op(S)'s
+# 9-wide band from K = 36 (N = 73).
+_BAND_PAYOFF = 8
+
+
 class Layout:
     """F(t) = fn(Op(s_1)(t), ..., Op(s_n)(t)) for fn affine in the named symbols of ops.
 
     When every symbol has a stack (ops.stack decides), F(t) = sum_i t^i F_i
     with F_0 = fn(C_0) and F_i = fn(C_i) - fn(0) from the symbols' t^i
-    coefficients C_i; [F_0; ...; F_p] is built on first use, and F(t) @ V is
-    one matmul and a Horner sum.  Otherwise F is built from the symbols
-    quantized at t, kept for the last two times (an RK4 step asks for
-    t + h/2 twice).  Callers own their layouts, ops holds none: no stack
+    coefficients C_i, built on first use.  Otherwise F is built from the
+    symbols quantized at t, kept for the last two times (an RK4 step asks
+    for t + h/2 twice).  Callers own their layouts, ops holds none: no stack
     outlives its user.
+
+    stack alone chooses how F_0, ..., F_p are stored.  fn only lays out N x N
+    blocks and scales them by diagonals, so each block of F is banded in
+    k - k' with the symbols' band: bw = max x_degree * period / 2 pi modes
+    when every symbol is a trig polynomial in x.  When bw is an integer and
+    the grid is wide enough for the band to pay off (_BAND_PAYOFF (2 bw + 1)
+    <= N), each row of F keeps 2 bw + 1 entries per block (an ELL layout:
+    column indices _cols, zero where the band runs off a block's edge);
+    F(t) @ V is a Horner sum over those entries, one gather of V's rows and
+    one batched product.  Otherwise the stack is the dense [F_0; ...; F_p],
+    and F(t) @ V is one matmul and a Horner sum.
     """
 
     def __init__(self, ops, names, fn):
@@ -270,7 +291,8 @@ class Layout:
 
     @functools.cached_property
     def stack(self):
-        """[F_0; ...; F_p], built on first use; None when a symbol is not polynomial in t."""
+        """F's Taylor coefficients, dense or banded, built on first use; None when a symbol
+        is not polynomial in t."""
         stacks = [self.ops.stack(name) for name in self.names]
         if any(stack is None for stack in stacks):
             return None
@@ -282,8 +304,37 @@ class Layout:
         const = self.fn(*(zero for _ in self.names))  # fn(0), not kept: it is as large as F
         for term in terms[1:]:
             term -= const  # in place: no copy of the stack's size
-        self._rows = len(terms[0])  # F's row count, for the Horner sums
+        self._shape = terms[0].shape  # F's shape, for the Horner sums and the scatter
+        self._cols, terms = self._band(terms)
         return _taylor_stack(terms)
+
+    def _band(self, terms):
+        """stack's choice of storage: (None, terms) when F stays dense, else per row of F
+        the columns of its band in every block and the terms read there, zero beyond bw
+        of the diagonal."""
+        grid = self.ops.grid
+        degrees = [x_degree(self.ops.symbols[name]) for name in self.names]
+        if None in degrees:
+            return None, terms
+        bw = max(degrees) * grid.period / (2.0 * math.pi)
+        if bw != int(bw) or _BAND_PAYOFF * (2 * bw + 1) > grid.N:
+            return None, terms
+        bw, N = int(bw), grid.N
+        k = np.arange(self._shape[0]) % N  # each row's mode within its block
+        # 2 bw + 1 consecutive columns around k, shifted to stay inside the block
+        local = np.clip(k - bw, 0, N - 2 * bw - 1)[:, None] + np.arange(2 * bw + 1)
+        blocks = np.arange(0, self._shape[1], N)
+        cols = (blocks[None, :, None] + local[:, None, :]).reshape(len(k), -1)
+        inband = np.tile(np.abs(local - k[:, None]) <= bw, len(blocks))
+        return cols, [np.take_along_axis(term, cols, axis=1) * inband for term in terms]
+
+    def _apply(self, C, V):
+        """C @ V for C one coefficient of F, or several stacked, in the stack's storage."""
+        if self._cols is None:
+            return C @ V
+        G = np.take(V.reshape(len(V), -1), self._cols, axis=0)  # rows x band x columns of V
+        out = np.matmul(C.reshape((-1, self._shape[0], 1, C.shape[-1])), G)
+        return out.reshape(C.shape[:-1] + V.shape[1:])
 
     def _at(self, t):
         key = float(t)
@@ -298,7 +349,20 @@ class Layout:
         W = self.stack
         if W is None:
             return self._at(t) if V is None else self._at(t) @ V
-        return _horner(t, W if V is None else W @ V, self._rows)
+        rows = self._shape[0]
+        if self._cols is None:
+            return _horner(t, W if V is None else W @ V, rows)
+        C = _horner(t, W, rows)
+        if V is not None:
+            return self._apply(C, V)
+        F = np.zeros(self._shape, dtype=C.dtype)
+        np.put_along_axis(F, self._cols, C, axis=1)
+        return F
+
+    def term(self, i, V):
+        """F_i @ V, the t^i Taylor coefficient of F applied to V; needs a stack reaching i."""
+        rows = self._shape[0]
+        return self._apply(self.stack[i * rows : (i + 1) * rows], V)
 
     def rate(self, t, V):
         """(F(t) @ V, F'(t) @ V): the Horner sum's t-derivative, or without a stack
@@ -308,7 +372,11 @@ class Layout:
             derivatives, fn_at_zero = self._rate_parts
             rates = (op_weyl(d, t, self.ops.grid) for d in derivatives)
             return self._at(t) @ V, (self.fn(*rates) - fn_at_zero) @ V
-        return _horner_with_rate(t, W @ V, self._rows)
+        if self._cols is None:
+            return _horner_with_rate(t, W @ V, self._shape[0])
+        # F and F' share one gather of V
+        return tuple(self._apply(np.stack(np.broadcast_arrays(
+            *_horner_with_rate(t, W, self._shape[0]))), V))
 
     @functools.cached_property
     def _rate_parts(self):

@@ -55,6 +55,7 @@ __all__ = [
     "call",
     "parse_symbol",
     "differentiate",
+    "x_degree",
 ]
 
 
@@ -470,6 +471,38 @@ def differentiate(expr, var, order=1):
     for _ in range(order):
         out = out.diff(var)
     return out
+
+
+def x_degree(expr):
+    """Degree of expr as a trig polynomial in x, or None when it is not one.
+
+    Terms free of x have degree 0, and cos(c x + f) and sin(c x + f) with f
+    free of x (the argument's x-derivative is a Const) have degree |c|.
+    Sums take the larger degree, products add them, a power n >= 0
+    multiplies by n and a quotient by a term free of x keeps the
+    numerator's.  Anything else involving x gives None: x itself, exp, sqrt
+    or jp of it, or a negative power.  Each node is visited once.
+    """
+    if isinstance(expr, Const):
+        return 0
+    if isinstance(expr, Var):
+        return None if expr.name == "x" else 0
+    if isinstance(expr, (Add, Sub, Mul)):
+        left, right = x_degree(expr.left), x_degree(expr.right)
+        if left is None or right is None:
+            return None
+        return left + right if isinstance(expr, Mul) else max(left, right)
+    if isinstance(expr, Div):
+        return x_degree(expr.left) if x_degree(expr.right) == 0 else None
+    if isinstance(expr, Pow):
+        base = x_degree(expr.base)
+        if base == 0:
+            return 0
+        return None if base is None or expr.exponent < 0 else base * expr.exponent
+    if expr.fn in ("cos", "sin"):
+        slope = expr.arg.diff("x")
+        return abs(slope.value) if isinstance(slope, Const) else None
+    return 0 if x_degree(expr.arg) == 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplex import evolution
+from triplex import evolution, quantize
 from triplex.evolution import (
     Assembler,
     EvolveConfig,
@@ -63,7 +63,7 @@ def test_step_converges_at_fourth_order():
         h = H / n
         t = t0
         for _ in range(n):
-            U = _rk4(U, t, h, asm.apply)
+            U = _rk4(U, t, h, asm.apply, 1j * asm.apply(t, U))
             t += h
         return U
 
@@ -155,8 +155,8 @@ def test_exact_energy_rate_matches_centred_differences(name, lot_seed, t, lam):
     U = seeded_state(grid, lot_seed)
     Q, dQ = energy(t, U)
     h = 1e-5
-    Q_plus = energy(t + h, _rk4(U, t, h, asm.apply))[0]
-    Q_minus = energy(t - h, _rk4(U, t, -h, asm.apply))[0]
+    Q_plus = energy(t + h, _rk4(U, t, h, asm.apply, 1j * asm.apply(t, U)))[0]
+    Q_minus = energy(t - h, _rk4(U, t, -h, asm.apply, 1j * asm.apply(t, U)))[0]
     centred = (Q_plus - Q_minus) / (2.0 * h)
     assert abs(dQ - centred) <= 1e-6 * (abs(Q) + abs(dQ))
 
@@ -403,6 +403,22 @@ def test_taylor_lift_coefficients_match_the_dense_recursion():
             assert _rel(got, ref) <= 1e-13
 
 
+def test_taylor_lift_on_a_banded_stack_matches_the_dense_stack(monkeypatch):
+    # at K = 32 R's stack is banded (bw = 2); forcing it dense must not move the lift
+    model, lot, grid = gallery("g_E"), LowerOrderTerms.random_trig(1), FourierGrid(32)
+    rng = np.random.default_rng(5)
+    data = [rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N) for _ in range(3)]
+    banded = Assembler(model, lot, grid)
+    assert banded.R.stack.shape[1] == 3 * 5
+    lift = taylor_lift(banded, data, order=6)
+    monkeypatch.setattr(quantize, "_BAND_PAYOFF", math.inf)
+    dense = Assembler(model, lot, grid)
+    assert dense.R.stack.shape[1] == 3 * grid.N
+    for got, want in zip(lift.coefficients, taylor_lift(dense, data, order=6).coefficients,
+                         strict=True):
+        assert _rel(got, want) <= 1e-14
+
+
 def test_taylor_lift_zeroth_coefficient_is_the_data():
     model = gallery("g_zero_b")
     grid = FourierGrid(4)
@@ -602,7 +618,7 @@ def test_non_polynomial_symbols_fall_back_to_the_dense_path():
         assert _rel(asm.R(t), direct[: grid.N]) <= 1e-13
     assert sorted(asm.S._recent) == [0.1, 0.7]
     # an RK4 step asks for three times; the layout keeps R of the last two
-    _rk4(V, 0.2, 0.1, asm.apply)
+    _rk4(V, 0.2, 0.1, asm.apply, 1j * asm.apply(0.2, V))
     assert sorted(asm.R._recent) == [0.2 + 0.05, 0.2 + 0.1]
 
 

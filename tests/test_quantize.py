@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplex.acceptance import GALLERY
-from triplex.models import gallery
+from triplex.evolution import Assembler, window_expr
+from triplex.models import LowerOrderTerms, gallery
 from triplex import quantize
 from triplex.quantize import (
     BlockOp,
@@ -454,3 +455,55 @@ def test_friedrichs_rule_is_converged_against_a_twice_finer_rule(name, K):
 def test_fp_search_rejects_empty_t_grid():
     with pytest.raises(ValueError):
         fp_search(gallery("g_E"), [], FourierGrid(8))
+
+
+# ---------------------------------------------------------------------------
+# banded Taylor stacks
+
+def _dense_twin(layout, monkeypatch):
+    """A layout over the same symbols whose stack is forced dense."""
+    with monkeypatch.context() as m:
+        m.setattr(quantize, "_BAND_PAYOFF", math.inf)
+        twin = quantize.Layout(layout.ops, layout.names, layout.fn)
+        twin.stack  # built while the patch holds
+    return twin
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("source", GALLERY + ("g_strict:M=4",))
+@pytest.mark.parametrize("K", (32, 64, 128))
+def test_banded_stack_agrees_with_the_dense_stack(source, K, monkeypatch):
+    name, _, param = source.partition(":M=")
+    model = gallery(name, **({"M": float(param)} if param else {}))
+    grid = FourierGrid(K)
+    for seed in (0, 1, 2):
+        asm = Assembler(model, LowerOrderTerms.random_trig(seed), grid)
+        assert asm.R.stack.shape[1] == 3 * 5  # the lower-order terms have degree 2
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((3 * grid.N, 5)) + 1j * rng.standard_normal((3 * grid.N, 5))
+        for layout in (asm.R, asm.S):
+            dense = _dense_twin(layout, monkeypatch)
+            for t in (0.05, 0.7):
+                assert _rel(layout(t), dense(t)) <= 1e-13
+                for W in (V[:, 0], V):
+                    assert _rel(layout(t, W), dense(t, W)) <= 1e-13
+                    for got, want in zip(layout.rate(t, W), dense.rate(t, W), strict=True):
+                        assert got.shape == want.shape and _rel(got, want) <= 1e-13
+
+
+def test_layout_storage_follows_the_band_and_the_grid():
+    # g_E: R has bw = 2 (a and the lower-order terms), Herm Op(S) bw = 4 (a^2); a stack
+    # row holds 2 bw + 1 entries per block once 8 (2 bw + 1) <= N, else N
+    lot = LowerOrderTerms.random_trig(0)
+    widths = {}
+    for K in (16, 32, 64):
+        asm = Assembler(gallery("g_E"), lot, FourierGrid(K))
+        widths[K] = (asm.R.stack.shape[1], asm.S.stack.shape[1])
+    assert widths == {16: (3 * 33, 3 * 33), 32: (3 * 5, 3 * 65), 64: (3 * 5, 3 * 9)}
+    # a logistic window is no trig polynomial: R over it stays dense, S beside it is banded
+    window = LowerOrderTerms(window_expr(0.0, 1.0, 2.0), Const(0.0), Const(0.0))
+    asm = Assembler(gallery("g_E"), window, FourierGrid(64))
+    assert (asm.R.stack.shape[1], asm.S.stack.shape[1]) == (3 * 129, 3 * 9)

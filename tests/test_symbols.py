@@ -24,6 +24,7 @@ from triplex.symbols import (
     parse_symbol,
     pow_,
     sub,
+    x_degree,
 )
 
 CORPUS = [
@@ -178,3 +179,34 @@ def test_division_derivative_quotient_rule():
     num = math.cos(x) * (2 + math.cos(x)) + math.sin(x) ** 2
     assert np.isclose(d.evaluate(0.0, x, 1.0), num / (2 + math.cos(x)) ** 2,
                       rtol=1e-13)
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("cos(3 * x)", 3),
+    ("sin(2 * x + t)", 2),
+    ("cos(x) * sin(2 * x)", 3),          # a product adds degrees
+    ("(1 - cos(x))^2", 2),
+    ("cos(x) - 2 * sin(x)^3", 3),        # a sum takes the larger degree
+    ("cos(x) / (1 + t^2)", 1),           # a quotient by a term free of x
+    ("t^2 * jp(xi) + exp(t) / sqrt(1 + xi^2)", 0),
+    ("t^-1", 0),
+    ("x", None),
+    ("exp(cos(x))", None),
+    ("1 / (2 + cos(x))", None),
+    ("cos(x)^-1", None),
+    ("cos(x * t)", None),
+    ("sqrt(2 + cos(x))", None),
+])
+def test_x_degree_reads_the_trig_degree_off_the_tree(text, degree):
+    assert x_degree(parse_symbol(text)) == degree
+
+
+def test_x_degree_of_gallery_and_lower_order_symbols():
+    from triplex.models import gallery
+
+    model = gallery("g_E")
+    a = model.a_expr
+    assert (x_degree(a), x_degree(model.b), x_degree(a * a)) == (2, 1, 4)
+    assert x_degree(gallery("g_strict").a_expr) == 0
+    lot = LowerOrderTerms.random_trig(0)
+    assert [x_degree(e) for e in (lot.b10, lot.b11, lot.b12)] == [2, 2, 2]
