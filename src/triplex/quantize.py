@@ -12,7 +12,9 @@ op_weyl uses midpoint frequencies: M[k, k'] = qhat(k - k'; w0 (k + k')/2)
 where qhat(m; xi) is the m-th x-Fourier coefficient of q(., xi).  The
 half-integer midpoint makes real symbols exactly Hermitian.  Coefficients
 are computed by trapezoid quadrature on 2N nodes so that every needed
-difference frequency |k - k'| <= 2K is resolved without aliasing.
+difference frequency |k - k'| <= 2K is resolved without aliasing.  A symbol
+constant in xi is transformed as one column, M[k, k'] = qhat(k - k'), with
+the same bits as every midpoint column; friedrichs_part keeps one too.
 
 TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
 Op(t) = sum_i t^i C_i, and decides which symbols have one.  A Layout is an
@@ -153,16 +155,25 @@ class BlockOp:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
 
+def _x_coefficients(vals, n):
+    """x-Fourier coefficients [m mod n, column] of values sampled at n nodes along axis 0;
+    one column when they are constant along axis 1 (a symbol constant in its frequency)."""
+    vals = np.broadcast_to(vals, np.broadcast_shapes(np.shape(vals), (n, 1)))
+    return np.fft.fft(vals, axis=0) / n
+
+
 def op_weyl(expr, t, grid):
-    """Midpoint (Weyl) quantization of a symbol expression at time t, as an N x N matrix."""
+    """Midpoint (Weyl) quantization of a symbol expression at time t, as an N x N matrix;
+    a symbol constant in xi takes one x-FFT column and the Toeplitz qhat(k - k') from it."""
     N = grid.N
     nq = 2 * N
     xq = grid.period * np.arange(nq) / nq
     mid_freqs = (np.arange(4 * grid.K + 1) - 2 * grid.K) * grid.base_freq / 2.0
     vals = np.asarray(expr.evaluate(t, xq[:, None], mid_freqs[None, :]), dtype=float)
-    coef = np.fft.fft(np.broadcast_to(vals, (nq, mid_freqs.size)), axis=0) / nq
+    coef = _x_coefficients(vals, nq)
     i = np.arange(N)
-    return coef[(i[:, None] - i[None, :]) % nq, i[:, None] + i[None, :]]
+    # k + k' < 4K + 1, so % keeps a full width's midpoint column and reads a single one at 0
+    return coef[(i[:, None] - i[None, :]) % nq, (i[:, None] + i[None, :]) % coef.shape[1]]
 
 
 def block_weyl(entries, t, grid):
@@ -488,8 +499,7 @@ def _friedrichs_matrix(entries, t, grid, bump, points_per_unit):
     for expr, places in uses.items():
         vals = np.asarray(expr.evaluate(t, grid.nodes[:, None], zeta[None, :]), dtype=float)
         # a symbol constant in xi keeps one zeta column: its coefficients are shared
-        vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, (N, 1)))
-        qhat = np.broadcast_to(np.fft.fft(vals, axis=0) / N, (N, zeta.size))  # [m mod N, q]
+        qhat = np.broadcast_to(_x_coefficients(vals, N), (N, zeta.size))  # [m mod N, q]
         block = np.zeros((N, N), dtype=complex)
         for r, nodes, cols, m, weights in bands:
             block[r, cols] = np.einsum("cq,cq->c", qhat[m, nodes], weights)

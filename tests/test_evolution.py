@@ -318,12 +318,17 @@ def test_cutoff_lowpass_scaling_is_flat():
         frequency_cutoff_check(model, None, grid, nus=(2.0,))
 
 
-@pytest.mark.parametrize("source", [("g_E", {}), ("g_ex22", {"m": 8})])
-def test_cutoff_norms_match_the_dense_generator(source):
-    # g_ex22 with m = 8 is not polynomial in t and takes the quantized-row path
+@pytest.mark.parametrize("source, K, flagged", [
+    (("g_E", {}), 16, (False, False, False, True)),
+    (("g_E", {}), 32, (False, False, False, False)),  # 2/nu = 32 still fits the grid
+    (("g_ex22", {"m": 8}), 16, (False, False, False, True)),
+], ids=["source0", "source0-K32", "source1"])
+def test_cutoff_norms_match_the_dense_generator(source, K, flagged):
+    # g_ex22 with m = 8 is not polynomial in t and takes the quantized-row path; g_E's R is
+    # dense at K = 16 and stored by its diagonals at K = 32
     model = gallery(source[0], **source[1])
     lot = LowerOrderTerms.random_trig(20, amplitude=0.4)
-    grid = FourierGrid(16)
+    grid = FourierGrid(K)
     nus = (0.5, 0.25, 0.125, 0.0625)
     t = 0.3
     rep = frequency_cutoff_check(model, lot, grid, nus, t=t)
@@ -335,7 +340,7 @@ def test_cutoff_norms_match_the_dense_generator(source):
         want_comm = np.linalg.norm(chi[:, None] * gen - gen * chi[None, :], 2) / nu
         assert low == pytest.approx(want_low, rel=1e-10)
         assert comm == pytest.approx(want_comm, rel=1e-10)
-    assert rep.flagged == (False, False, False, True)
+    assert rep.flagged == flagged
 
 
 def test_window_expr_is_a_plateau():

@@ -102,6 +102,60 @@ def test_weyl_midpoint_rule_for_mixed_symbol():
                 assert abs(mat[row, col]) <= 1e-12
 
 
+def _op_weyl_every_column(expr, t, grid):
+    """Weyl quantization from all 4K + 1 midpoint columns: the symbol broadcast to full
+    width, one FFT over x, then the midpoint gather."""
+    nq = 2 * grid.N
+    xq = grid.period * np.arange(nq) / nq
+    mid_freqs = (np.arange(4 * grid.K + 1) - 2 * grid.K) * grid.base_freq / 2.0
+    vals = np.asarray(expr.evaluate(t, xq[:, None], mid_freqs[None, :]), dtype=float)
+    coef = np.fft.fft(np.broadcast_to(vals, (nq, mid_freqs.size)), axis=0) / nq
+    i = np.arange(grid.N)
+    return coef[(i[:, None] - i[None, :]) % nq, i[:, None] + i[None, :]]
+
+
+def _fft_widths(monkeypatch):
+    """Record the number of columns each np.fft.fft call transforms."""
+    widths, fft = [], np.fft.fft
+
+    def recording(a, *args, **kwargs):
+        widths.append(1 if np.ndim(a) < 2 else np.shape(a)[1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recording)
+    return widths
+
+
+_XI_FREE = tuple(e for name in GALLERY for m in [gallery(name)]
+                 for e in (m.a_expr, m.b, m.a_expr * m.a_expr)) + tuple(
+    e for seed in (0, 707) for lot in [LowerOrderTerms.random_trig(seed)]
+    for e in (lot.b10, lot.b11, lot.b12)) + (Const(2.5),)
+
+
+@pytest.mark.parametrize("K", (8, 64, 128))
+@pytest.mark.parametrize("t", (0.0, 0.37))
+def test_op_weyl_is_bit_identical_to_every_midpoint_column(K, t, monkeypatch):
+    # a symbol constant in xi takes one FFT column and its Toeplitz gather; the bits are
+    # those of the full-width transform.  Const evaluates to a scalar.
+    grid = FourierGrid(K)
+    xi_dependent = (call("jp", XI), call("cos", X) * XI)  # these keep every midpoint column
+    for expr, width in [(e, 1) for e in _XI_FREE] + [(e, 4 * K + 1) for e in xi_dependent]:
+        want = _op_weyl_every_column(expr, t, grid)
+        widths = _fft_widths(monkeypatch)
+        got = op_weyl(expr, t, grid)
+        monkeypatch.undo()
+        assert np.array_equal(got, want), str(expr)
+        assert widths == [width], str(expr)
+
+
+def test_taylor_stacks_take_no_full_width_fft(monkeypatch):
+    # every symbol R's K = 128 Taylor stack quantizes is free of xi: one FFT column each
+    asm = Assembler(gallery("g_E"), LowerOrderTerms.random_trig(707), FourierGrid(128))
+    widths = _fft_widths(monkeypatch)
+    assert asm.R.stack is not None
+    assert widths and max(widths) == 1
+
+
 def test_operator_norm_matches_svd():
     rng = np.random.default_rng(1)
     for n in (5, 17):
