@@ -32,7 +32,7 @@ from .cubic import Grid3, check_condition, default_condition_grid
 from .models import HyperbolicModel, LowerOrderTerms, ModelError, build_model
 from .symbols import Const, X, call
 from .quantize import (FourierGrid, Layout, TaylorOps, c_star, fp_search, herm_S_layout,
-                       operator_norm, top_eigenvalue)
+                       top_eigenvalue)
 from .symmetrizer import A_entries, lower_bound_delta
 
 
@@ -74,13 +74,14 @@ _ROW_SYMBOLS = ("a", "b", "b10", "b11", "b12")
 
 
 def _first_row(jp, a, b, b10, b11, b12):
-    """M's first block row [B10, A<D> + B11, Bb<D> + B12] from A_entries, as one N x 3N array.
+    """M's first block row [B10, A<D> + B11, Bb<D> + B12] from A_entries, as a nested list
+    of one row of blocks for Layout.
 
-    The arguments are the N x N operators of _ROW_SYMBOLS, or their
+    The arguments are the operator blocks of _ROW_SYMBOLS, or their
     t-derivatives; <D> = diag(jp) multiplies Op(a) and Op(b) from the right.
     M's other block rows are the <D> shifts of A's second and third rows.
     """
-    return np.hstack([blk + low for blk, low in zip(A_entries(a * jp, b * jp)[0], (b10, b11, b12))])
+    return [[blk + low for blk, low in zip(A_entries(a * jp, b * jp)[0], (b10, b11, b12))]]
 
 
 def _shifts(shift, V):
@@ -495,13 +496,16 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
     calculus keeps comparable across nu; entries whose transition band
     2/nu escapes the grid are flagged.
 
-    Both norms come from M's first block row R(t) by Lanczos, without
-    forming M: |A_nu|^2 = |M chi_{nu/2}|^2 is the top eigenvalue of
-    chi_{nu/2} M^H M chi_{nu/2}, and the commutator is chi_nu R - R chi_nu.
+    Both norms come from M's first block row R(t), the one dense N x 3N
+    matrix formed, by Lanczos on products with R and R^H (applied as
+    (u^H R)^H, no copy of R^H): |A_nu|^2 = |M chi_{nu/2}|^2 is the top
+    eigenvalue of chi_{nu/2} M^H M chi_{nu/2}, and |[chi_nu, M]|^2 that of
+    C^H C for C = chi_nu R - R chi_nu, the commutator's only nonzero block
+    row.  Neither M, C nor R^H is formed.
     """
     N = grid.N
     R = Assembler(model, lot, grid).R(t)
-    Rh = R.conj().T
+    adjoint = lambda U: (U.conj().T @ R).conj().T  # R^H U for U of shape (N,) or (N, m)
     freqs_abs = np.abs(np.concatenate([grid.freqs] * 3))
     shift_sq = np.concatenate([grid.jp_values**2] * 2 + [np.zeros(N)])  # M^H M - R^H R
     scaled_low, scaled_comm, flagged = [], [], []
@@ -513,11 +517,18 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
 
         def lowpass_gram(v, chi=chi_half):
             """chi M^H M chi v, with M^H M = R^H R + diag(jp^2, jp^2, 0) from the shifts."""
-            return chi * (Rh @ (R @ (chi * v))) + chi**2 * shift_sq * v
+            return chi * adjoint(R @ (chi * v)) + chi**2 * shift_sq * v
+
+        def comm_gram(v, chi=chi_full):
+            """C^H C v: C v = chi R v - R chi v, and C^H u = R^H chi u - chi R^H u."""
+            Rv = R @ np.stack([v, chi * v], axis=1)
+            u = chi[:N] * Rv[:, 0] - Rv[:, 1]
+            RHu = adjoint(np.stack([chi[:N] * u, u], axis=1))
+            return RHu[:, 0] - chi * RHu[:, 1]
 
         scaled_low.append(nu * math.sqrt(top_eigenvalue(lowpass_gram, 3 * N)))
         # the <D> shifts commute with chi_nu, so [chi_nu, M] vanishes below the first block row
-        scaled_comm.append(operator_norm(chi_full[:N, None] * R - R * chi_full[None, :]) / nu)
+        scaled_comm.append(math.sqrt(max(top_eigenvalue(comm_gram, 3 * N), 0.0)) / nu)
         flagged.append(bool(2.0 / nu > grid.K))
     return CutoffReport(
         nu=tuple(float(v) for v in nus),

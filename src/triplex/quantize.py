@@ -13,14 +13,21 @@ where qhat(m; xi) is the m-th x-Fourier coefficient of q(., xi).  The
 half-integer midpoint makes real symbols exactly Hermitian.  Coefficients
 are computed by trapezoid quadrature on 2N nodes so that every needed
 difference frequency |k - k'| <= 2K is resolved without aliasing.  A symbol
-constant in xi is transformed as one column, M[k, k'] = qhat(k - k'), with
-the same bits as every midpoint column; friedrichs_part keeps one too.
+constant in xi is transformed as one column, and M is the Toeplitz
+qhat(k - k') read from it as a strided view, with the same bits as every
+midpoint column; friedrichs_part keeps one column too.
 
 TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
-Op(t) = sum_i t^i C_i, and decides which symbols have one.  A Layout is an
-operator affine in them (Herm Op(S), the generator's first block row),
-applied from its own Taylor stack, dense or banded, or quantized at each
-t.  c_star is the Fefferman-Phong constant C* = -t lambda_min(G), or a
+Op(t) = sum_i t^i C_i, and decides which symbols have one.  It keeps each
+C_i in compact form (_weyl_compact): the one x-Fourier column of a symbol
+constant in xi (every gallery symbol), not its N x N matrix.  A Layout is
+an operator affine in them (Herm Op(S), the generator's first block row),
+applied from its own Taylor stack, or quantized at each t.  A banded stack
+is built straight into the band from the compact C_i, by running the
+layout's fn on _Band blocks, so no N x N block is formed; a dense stack,
+TaylorOps.op and the dense consumers (fp_search, fp_check, block_weyl)
+read N x N matrices from the same compact form.
+c_star is the Fefferman-Phong constant C* = -t lambda_min(G), or a
 Cholesky certificate that it lies below a floor; fp_search and the energy
 shift both use it.
 
@@ -131,28 +138,33 @@ class BlockOp:
 
     @staticmethod
     def from_blocks(rows, grid):
-        """Lay out a square nested list of N x N blocks.
+        """Lay out a nested list of N x N blocks, rows of equal length.
 
         A block may be an N x N matrix, a length-N vector (its diagonal
         matrix) or a scalar c (c times the identity); None and the scalar 0
         leave the block empty.
         """
-        b = len(rows)
         N = grid.N
-        out = np.zeros((b * N, b * N), dtype=complex)
+        b, stride = len(rows), len(rows[0]) * N
+        out = np.zeros((b * N, stride), dtype=complex)
         flat = out.reshape(-1)
         for i, row in enumerate(rows):
             for j, blk in enumerate(row):
                 if isinstance(blk, np.ndarray) and blk.ndim == 2:
                     out[i * N : (i + 1) * N, j * N : (j + 1) * N] = blk
-                elif blk is not None and (isinstance(blk, np.ndarray) or blk != 0):
-                    # the block's diagonal: every (b N + 1)-th entry from its corner
-                    corner = (i * b * N + j) * N
-                    flat[corner : corner + N * (b * N + 1) : b * N + 1] = blk
+                elif _is_diagonal(blk):
+                    # the block's diagonal: every (stride + 1)-th entry from its corner
+                    corner = i * N * stride + j * N
+                    flat[corner : corner + N * (stride + 1) : stride + 1] = blk
         return BlockOp(out, blocks=b)
 
     def min_eig(self):
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
+
+
+def _is_diagonal(blk):
+    """True for a block given by its diagonal: a length-N vector or a nonzero scalar."""
+    return blk is not None and (isinstance(blk, np.ndarray) or blk != 0)
 
 
 def _x_coefficients(vals, n):
@@ -162,18 +174,38 @@ def _x_coefficients(vals, n):
     return np.fft.fft(vals, axis=0) / n
 
 
-def op_weyl(expr, t, grid):
-    """Midpoint (Weyl) quantization of a symbol expression at time t, as an N x N matrix;
-    a symbol constant in xi takes one x-FFT column and the Toeplitz qhat(k - k') from it."""
+def _weyl_compact(expr, t, grid):
+    """Weyl quantization of a symbol at time t in compact form: for a symbol constant in
+    xi its one x-Fourier column [m mod 2N], from which M[k, k'] = qhat(k - k') is read, else
+    the N x N matrix itself, a quarter the size of its 2N x (4K + 1) midpoint coefficients."""
     N = grid.N
     nq = 2 * N
     xq = grid.period * np.arange(nq) / nq
     mid_freqs = (np.arange(4 * grid.K + 1) - 2 * grid.K) * grid.base_freq / 2.0
     vals = np.asarray(expr.evaluate(t, xq[:, None], mid_freqs[None, :]), dtype=float)
     coef = _x_coefficients(vals, nq)
+    if coef.shape[1] == 1:
+        return coef
     i = np.arange(N)
-    # k + k' < 4K + 1, so % keeps a full width's midpoint column and reads a single one at 0
-    return coef[(i[:, None] - i[None, :]) % nq, (i[:, None] + i[None, :]) % coef.shape[1]]
+    return coef[(i[:, None] - i[None, :]) % nq, i[:, None] + i[None, :]]
+
+
+def _weyl_matrix(q, N):
+    """The N x N matrix of _weyl_compact's q: q itself, or from a column the Toeplitz
+    q[(k - k') mod 2N], a copy of a strided view."""
+    if q.shape[1] > 1:
+        return q
+    # r[j] = q[(N - 1 - j) mod 2N], and entry (k, k') of the view is r[N - 1 - k + k'].
+    # The view is made directly: numpy's as_strided keeps a ~1 MB Python block alive
+    # after some 10^4 calls.
+    r = q[np.arange(N - 1, -N, -1) % len(q), 0]
+    return np.ndarray((N, N), r.dtype, r, (N - 1) * r.itemsize, (-r.itemsize, r.itemsize)).copy()
+
+
+def op_weyl(expr, t, grid):
+    """Midpoint (Weyl) quantization of a symbol expression at time t, as an N x N matrix;
+    a symbol constant in xi takes one x-FFT column and the Toeplitz qhat(k - k') from it."""
+    return _weyl_matrix(_weyl_compact(expr, t, grid), grid.N)
 
 
 def block_weyl(entries, t, grid):
@@ -224,21 +256,17 @@ def _horner_with_rate(t, Y, n):
     return acc, rate
 
 
-def _taylor_stack(coeffs):
-    """Read-only [C_0; ...; C_p] of equal-shape Taylor coefficients."""
-    out = np.concatenate(coeffs)
-    out.flags.writeable = False
-    return out
-
-
 class TaylorOps:
-    """Taylor stacks in t of a model's symbols, and Op(symbol)(t) from them.
+    """Taylor coefficients in t of a model's symbols, and Op(symbol)(t) from them.
 
     The symbols are a, b and a2 = a^2 of the model, plus b10, b11 and b12
     of lot when given.  A symbol polynomial in t (the whole gallery)
-    quantizes once, on first use, into the stack [C_0; ...; C_p] with
-    Op(t) = sum_i t^i C_i.  A symbol that is not polynomial in t, or whose
-    degree exceeds 6, has no stack.
+    quantizes once, on first use, into its stack: C_0, ..., C_p with Op(t)
+    = sum_i t^i C_i, each in _weyl_compact's form, one x-Fourier column for
+    a symbol constant in xi.  A symbol that is not polynomial in t, or whose
+    degree exceeds 6, has no stack.  op forms the dense [C_0; ...; C_p] on
+    first use, and only for the symbols it is asked for (a: evolve's a U3
+    term and the J part of fp_check and fp_search).
     """
 
     def __init__(self, model, grid, lot=None):
@@ -248,22 +276,100 @@ class TaylorOps:
         if lot is not None:
             self.symbols.update(b10=lot.b10, b11=lot.b11, b12=lot.b12)
         self._stacks = {}
+        self._matrices = {}
 
     def stack(self, name):
-        """Taylor stack of Op(symbol), quantized on first use; None when not polynomial in t."""
+        """C_0, ..., C_p of Op(symbol) in compact form, quantized on first use; None when the
+        symbol is not polynomial in t."""
         if name not in self._stacks:
             terms = _t_taylor(self.symbols[name])
-            self._stacks[name] = None if terms is None else _taylor_stack(
-                [op_weyl(d, 0.0, self.grid) / math.factorial(i) for i, d in enumerate(terms)])
+            self._stacks[name] = None if terms is None else _read_only(
+                *(_weyl_compact(d, 0.0, self.grid) / math.factorial(i)
+                  for i, d in enumerate(terms)))
         return self._stacks[name]
 
     def op(self, name, t, V=None):
         """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix when there is a stack."""
-        W = self.stack(name)
-        if W is None:
+        coefs = self.stack(name)
+        if coefs is None:
             M = op_weyl(self.symbols[name], t, self.grid)
             return M if V is None else M @ V
+        if name not in self._matrices:
+            self._matrices[name] = np.concatenate([_weyl_matrix(c, self.grid.N) for c in coefs])
+        W = self._matrices[name]
         return _horner(t, W if V is None else W @ V, self.grid.N)
+
+
+class _Band:
+    """An N x N block held by its band, as a Layout's fn sees it when the stack is banded.
+
+    data[k, j] is the entry in column cols[k, j], where cols[k] is the 2 bw + 1
+    consecutive columns around k, shifted to stay inside the block; it is 0
+    beyond bw of the diagonal.  The operations fn applies to blocks are
+    defined: a sum with a block or 0, a product with a scalar or with a
+    diagonal from the right (a * jp), negation and the conjugate transpose.
+    """
+
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the reflected operators
+
+    def __init__(self, data, cols):
+        self.data, self.cols = data, cols
+
+    @classmethod
+    def of(cls, q, cols):
+        """The band of _weyl_matrix(q, N), read from the compact form q."""
+        k = np.arange(len(cols))[:, None]
+        return cls(q[k, cols] if q.shape[1] > 1 else q[(k - cols) % len(q), 0], cols).masked()
+
+    def masked(self):
+        """The block with every entry beyond bw of the diagonal set to 0."""
+        k = np.arange(len(self.cols))[:, None]
+        inband = np.abs(self.cols - k) <= self.cols.shape[1] // 2
+        return _Band(np.where(inband, self.data, 0), self.cols)
+
+    def __add__(self, other):
+        return _Band(self.data + (other.data if isinstance(other, _Band) else other), self.cols)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return _Band(self.data * (other[self.cols] if np.ndim(other) else other), self.cols)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Band(-self.data, self.cols)
+
+    def conj(self):
+        return _Band(self.data.conj(), self.cols)
+
+    @property
+    def T(self):
+        # entry (k, cols[k, j]) of the transpose is entry (cols[k, j], k), which row
+        # cols[k, j] holds at place k - cols[cols[k, j], 0] when it lies in the band
+        k = np.arange(len(self.cols))[:, None]
+        place = np.clip(k - self.cols[self.cols, 0], 0, self.cols.shape[1] - 1)
+        return _Band(self.data[self.cols, place], self.cols).masked()
+
+
+def _adjoint(blk):
+    """The conjugate transpose of a block: a matrix, a _Band, a diagonal vector or a scalar."""
+    return np.conj(blk) if np.isscalar(blk) else blk.conj().T
+
+
+def _band_rows(cols, rows, out):
+    """Lay out fn's block rows into out, the ELL rows of F, zero on entry: per row of F and
+    block column, the 2 bw + 1 entries in cols of a _Band, or a diagonal block's entry at
+    the diagonal."""
+    N = len(cols)
+    diagonal = (np.arange(N), np.arange(N) - cols[:, 0])
+    blocks = out.reshape(len(rows), N, len(rows[0]), cols.shape[1])  # a view: out is contiguous
+    for i, row in enumerate(rows):
+        for j, blk in enumerate(row):
+            if isinstance(blk, _Band):
+                blocks[i, :, j] = blk.data
+            elif _is_diagonal(blk):
+                blocks[i, :, j][diagonal] = blk
 
 
 # A block's band is stored once it spans at most 1/_BAND_PAYOFF of the block's columns.
@@ -275,22 +381,26 @@ _BAND_PAYOFF = 8
 class Layout:
     """F(t) = fn(Op(s_1)(t), ..., Op(s_n)(t)) for fn affine in the named symbols of ops.
 
-    When every symbol has a stack (ops.stack decides), F(t) = sum_i t^i F_i
-    with F_0 = fn(C_0) and F_i = fn(C_i) - fn(0) from the symbols' t^i
-    coefficients C_i, built on first use.  Otherwise F is built from the
-    symbols quantized at t, kept for the last two times (an RK4 step asks
-    for t + h/2 twice).  Callers own their layouts, ops holds none: no stack
-    outlives its user.
+    fn returns F's block rows, a nested list of blocks as BlockOp.from_blocks
+    lays out.  When every symbol has a stack (ops.stack decides), F(t) =
+    sum_i t^i F_i with F_0 = fn(C_0) and F_i = fn(C_i) - fn(0) from the
+    symbols' t^i coefficients C_i, built on first use.  Otherwise F is built
+    from the symbols quantized at t, kept for the last two times (an RK4
+    step asks for t + h/2 twice).  Callers own their layouts, ops holds
+    none: no stack outlives its user.
 
-    stack alone chooses how F_0, ..., F_p are stored.  fn only lays out N x N
-    blocks and scales them by diagonals, so each block of F is banded in
-    k - k' with the symbols' band: bw = max x_degree * period / 2 pi modes
-    when every symbol is a trig polynomial in x.  When bw is an integer and
-    the grid is wide enough for the band to pay off (_BAND_PAYOFF (2 bw + 1)
-    <= N), each row of F keeps 2 bw + 1 entries per block (an ELL layout:
-    column indices _cols, zero where the band runs off a block's edge);
-    F(t) @ V is a Horner sum over those entries, one gather of V's rows and
-    one batched product.  Otherwise the stack is the dense [F_0; ...; F_p],
+    stack alone chooses how F_0, ..., F_p are stored.  fn only lays out
+    blocks, scales them by scalars and diagonals and takes adjoints, so each
+    block of F is banded in k - k' with the symbols' band: bw = max x_degree
+    * period / 2 pi modes when every symbol is a trig polynomial in x.  When
+    bw is an integer and the grid is wide enough for the band to pay off
+    (_BAND_PAYOFF (2 bw + 1) <= N), each row of F keeps 2 bw + 1 entries per
+    block (an ELL layout: column indices _cols, zero where the band runs off
+    a block's edge).  They are built straight from the symbols' compact C_i
+    by running fn on _Band blocks, so no N x N block is formed; F(t) @ V is a
+    Horner sum over those entries, one gather of V's rows and one batched
+    product, and F(t) alone is scattered into a dense matrix.  Otherwise fn
+    runs on the N x N matrices C_i, the stack is the dense [F_0; ...; F_p],
     and F(t) @ V is one matmul and a Horner sum.
     """
 
@@ -304,40 +414,58 @@ class Layout:
     def stack(self):
         """F's Taylor coefficients, dense or banded, built on first use; None when a symbol
         is not polynomial in t."""
-        stacks = [self.ops.stack(name) for name in self.names]
-        if any(stack is None for stack in stacks):
+        coefs = [self.ops.stack(name) for name in self.names]
+        if any(c is None for c in coefs):
             return None
         N = self.ops.grid.N
-        zero = np.zeros((N, N))
-        terms = [self.fn(*(stack[i * N : (i + 1) * N] if (i + 1) * N <= len(stack) else zero
-                           for stack in stacks))
-                 for i in range(max(len(stack) for stack in stacks) // N)]
-        const = self.fn(*(zero for _ in self.names))  # fn(0), not kept: it is as large as F
-        for term in terms[1:]:
-            term -= const  # in place: no copy of the stack's size
-        self._shape = terms[0].shape  # F's shape, for the Horner sums and the scatter
-        self._cols, terms = self._band(terms)
-        return _taylor_stack(terms)
+        cols = self._band()
+        if cols is None:  # fn runs on the N x N matrices C_i
+            block, zero, width = functools.partial(_weyl_matrix, N=N), np.zeros((N, N)), N
+            lay_out = lambda rows, out: np.copyto(out, self._dense(rows))
+        else:  # fn runs on their bands
+            block, zero = functools.partial(_Band.of, cols=cols), _Band(np.zeros(cols.shape), cols)
+            width, lay_out = cols.shape[1], functools.partial(_band_rows, cols)
+        at, const = self._constant(lay_out, zero, width)
+        m = self._shape[0]
+        W = np.zeros((max(len(c) for c in coefs) * m, self._shape[1] // N * width), dtype=complex)
+        for i in range(len(W) // m):
+            term = W[i * m : (i + 1) * m]  # filled in place: no copy of the stack's size
+            lay_out(self.fn(*(block(c[i]) if i < len(c) else zero for c in coefs)), term)
+            if i:
+                term.reshape(-1)[at] -= const  # F_i = fn(C_i) - fn(0)
+        self._cols = None if cols is None else (
+            np.arange(0, self._shape[1], N)[None, :, None] + cols[np.arange(m) % N, None, :]
+        ).reshape(m, -1)
+        W.flags.writeable = False
+        return W
 
-    def _band(self, terms):
-        """stack's choice of storage: (None, terms) when F stays dense, else per row of F
-        the columns of its band in every block and the terms read there, zero beyond bw
-        of the diagonal."""
+    def _constant(self, lay_out, zero, width):
+        """fn(0) in the stack's storage, as the places and values of its few nonzero entries
+        (S's 3 I); sets F's shape, for the Horner sums and the scatter."""
+        rows = self.fn(*(zero for _ in self.names))
+        N = self.ops.grid.N
+        self._shape = (len(rows) * N, len(rows[0]) * N)
+        const = np.zeros((len(rows) * N, len(rows[0]) * width), dtype=complex)
+        lay_out(rows, const)
+        at = np.flatnonzero(const)
+        return at, const.reshape(-1)[at]
+
+    def _band(self):
+        """stack's choice of storage: None when F stays dense, else each block row's band
+        columns, 2 bw + 1 consecutive ones around its mode, shifted to stay inside the block."""
         grid = self.ops.grid
         degrees = [x_degree(self.ops.symbols[name]) for name in self.names]
         if None in degrees:
-            return None, terms
+            return None
         bw = max(degrees) * grid.period / (2.0 * math.pi)
         if bw != int(bw) or _BAND_PAYOFF * (2 * bw + 1) > grid.N:
-            return None, terms
+            return None
         bw, N = int(bw), grid.N
-        k = np.arange(self._shape[0]) % N  # each row's mode within its block
-        # 2 bw + 1 consecutive columns around k, shifted to stay inside the block
-        local = np.clip(k - bw, 0, N - 2 * bw - 1)[:, None] + np.arange(2 * bw + 1)
-        blocks = np.arange(0, self._shape[1], N)
-        cols = (blocks[None, :, None] + local[:, None, :]).reshape(len(k), -1)
-        inband = np.tile(np.abs(local - k[:, None]) <= bw, len(blocks))
-        return cols, [np.take_along_axis(term, cols, axis=1) * inband for term in terms]
+        return np.clip(np.arange(N) - bw, 0, N - 2 * bw - 1)[:, None] + np.arange(2 * bw + 1)
+
+    def _dense(self, rows):
+        """F as a dense matrix from fn's block rows."""
+        return BlockOp.from_blocks(rows, self.ops.grid).matrix
 
     def _apply(self, C, V):
         """C @ V for C one coefficient of F, or several stacked, in the stack's storage."""
@@ -352,7 +480,7 @@ class Layout:
         if key not in self._recent:
             if len(self._recent) == 2:
                 self._recent.pop(next(iter(self._recent)))
-            self._recent[key] = self.fn(*(self.ops.op(name, t) for name in self.names))
+            self._recent[key] = self._dense(self.fn(*(self.ops.op(name, t) for name in self.names)))
         return self._recent[key]
 
     def __call__(self, t, V=None):
@@ -382,7 +510,7 @@ class Layout:
         if W is None:
             derivatives, fn_at_zero = self._rate_parts
             rates = (op_weyl(d, t, self.ops.grid) for d in derivatives)
-            return self._at(t) @ V, (self.fn(*rates) - fn_at_zero) @ V
+            return self._at(t) @ V, (self._dense(self.fn(*rates)) - fn_at_zero) @ V
         if self._cols is None:
             return _horner_with_rate(t, W @ V, self._shape[0])
         # F and F' share one gather of V
@@ -394,14 +522,15 @@ class Layout:
         """The symbols' t-derivatives and fn(0), for rates without a stack."""
         zero = np.zeros((self.ops.grid.N,) * 2)
         return ([differentiate(self.ops.symbols[name], "t", 1) for name in self.names],
-                self.fn(*(zero for _ in self.names)))
+                self._dense(self.fn(*(zero for _ in self.names))))
 
 
 def herm_S_layout(ops):
     """Herm Op(S)(t) as a Layout over the a, b and a2 of ops."""
     def herm_S(a, b, a2):
-        S = BlockOp.from_blocks(S_entries(a, b, a2), ops.grid).matrix
-        return 0.5 * (S + S.conj().T)
+        S = S_entries(a, b, a2)
+        # 0.5 (S + S^H) block by block: block (i, j) of S^H is the adjoint of block (j, i)
+        return [[0.5 * (S[i][j] + _adjoint(S[j][i])) for j in range(3)] for i in range(3)]
     return Layout(ops, ("a", "b", "a2"), herm_S)
 
 
@@ -544,10 +673,12 @@ def top_eigenvalue(op, n):
     """
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
     v /= np.linalg.norm(v)
-    Q = np.empty((n, n), dtype=complex)  # Lanczos vectors as rows; only the rows used are touched
+    Q = np.empty((min(n, 8), n), dtype=complex)  # Lanczos vectors as rows, doubled when full
     alpha, beta = np.zeros(n), np.zeros(n)
     top = 0.0
     for k in range(n):
+        if k == len(Q):
+            Q = np.concatenate([Q, np.empty((min(k, n - k), n), dtype=complex)])
         Q[k] = v
         w = op(v)
         alpha[k] = np.vdot(v, w).real
@@ -606,12 +737,17 @@ FP_TOL = 1e-8
 
 def fp_check(model, t, grid, delta, C):
     """Sharp lower bound test: Herm(Op(S)) - delta t J_op + C t^-1 jp^-2 >= -FP_TOL scale."""
+    return _fp_check(herm_S_layout(TaylorOps(model, grid)), t, delta, C)
+
+
+def _fp_check(S, t, delta, C):
+    """fp_check on the Herm Op(S) layout S, which a caller checking a t grid builds once."""
     if not t > 0:
         raise ValueError("fp_check needs t > 0")
     for name, value in (("delta", delta), ("C", C)):
         if not math.isfinite(value):
             raise ValueError(f"fp_check needs a finite {name}, got {value}")
-    return _fp_eval(*_fp_pieces(herm_S_layout(TaylorOps(model, grid)), t), t, delta, C)
+    return _fp_eval(*_fp_pieces(S, t), t, delta, C)
 
 
 def _fp_eval(H_S, M_J, P, t, delta, C):

@@ -8,10 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from triplex import evolution, reporting
+from triplex import evolution, quantize, reporting
 from triplex.cli import run
 from triplex.cubic import Grid3
 from triplex.models import gallery
+from triplex.quantize import FourierGrid, TaylorOps, fp_check
 from triplex.symmetrizer import grid_fields
 
 MODEL_TEXT = """
@@ -115,6 +116,25 @@ def test_fpcheck_single_pair_exit_codes(capsys):
                "--delta", "64", "--c", "0.001", "--nt", "3"])
     assert bad == 2
     assert _json_out(capsys)["feasible"] is False
+
+
+def test_fpcheck_pair_quantizes_each_symbol_once(capsys, monkeypatch):
+    # one Herm Op(S) layout serves the whole t grid; the payload is fp_check's at each t
+    model, grid = gallery("g_E"), FourierGrid(8)
+    ops = TaylorOps(model, grid)
+    quantized = sum(len(ops.stack(name)) for name in ("a", "b", "a2"))
+    calls = []
+    weyl = quantize._weyl_compact
+    monkeypatch.setattr(quantize, "_weyl_compact", lambda *args: calls.append(1) or weyl(*args))
+    assert run(["fpcheck", "--model", "g_E", "--grid-k", "8",
+                "--delta", "0.5", "--c", "64", "--nt", "5"]) == 0
+    payload = _json_out(capsys)
+    assert len(calls) == quantized
+    monkeypatch.undo()
+    results = [fp_check(model, t, grid, 0.5, 64.0) for t in payload["t_grid"]]
+    assert len(results) == 5
+    assert payload["worst_min_eig_over_scale"] == min(r.min_eig / r.scale for r in results)
+    assert payload["feasible"] is True and all(r.feasible for r in results)
 
 
 def test_fpcheck_empty_t_grid_is_a_usage_error(capsys):

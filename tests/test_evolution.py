@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from triplex.evolution import (
 )
 from triplex.models import LowerOrderTerms, ModelError, gallery
 from triplex.quantize import BlockOp, FourierGrid, Layout, block_weyl, op_weyl, operator_norm
-from triplex.symbols import differentiate
+from triplex.symbols import Const, differentiate
 from triplex.symmetrizer import A_entries, S_symbols
 
 
@@ -321,11 +322,13 @@ def test_cutoff_lowpass_scaling_is_flat():
 @pytest.mark.parametrize("source, K, flagged", [
     (("g_E", {}), 16, (False, False, False, True)),
     (("g_E", {}), 32, (False, False, False, False)),  # 2/nu = 32 still fits the grid
+    (("g_E", {}), 128, (False, False, False, False)),
     (("g_ex22", {"m": 8}), 16, (False, False, False, True)),
-], ids=["source0", "source0-K32", "source1"])
+], ids=["source0", "source0-K32", "source0-K128", "source1"])
 def test_cutoff_norms_match_the_dense_generator(source, K, flagged):
     # g_ex22 with m = 8 is not polynomial in t and takes the quantized-row path; g_E's R is
-    # dense at K = 16 and stored by its diagonals at K = 32
+    # dense at K = 16 and stored by its diagonals at K = 32 and 128.  The reference is the
+    # SVD of the dense 3N x 3N generator and commutator.
     model = gallery(source[0], **source[1])
     lot = LowerOrderTerms.random_trig(20, amplitude=0.4)
     grid = FourierGrid(K)
@@ -406,6 +409,41 @@ def test_taylor_lift_coefficients_match_the_dense_recursion():
             want.append(sum(math.comb(j, i) * derivs[i] @ want[j - i] for i in range(j + 1)))
         for got, ref in zip(lift.coefficients, want, strict=True):
             assert _rel(got, ref) <= 1e-13
+
+
+def test_cutoff_check_forms_no_dense_commutator_or_adjoint():
+    # at K = 128, R(t) is the one dense matrix (N x 3N, 3.2 MB); R^H, the commutators and an
+    # n x n Lanczos basis (9.5 MB) took the traced peak to 19 MB
+    model, lot = gallery("g_E"), LowerOrderTerms.random_trig(0)
+    nus = (0.5, 0.25, 0.125, 0.0625)
+    frequency_cutoff_check(model, lot, FourierGrid(8), nus)  # warm-up
+    tracemalloc.start()
+    try:
+        frequency_cutoff_check(model, lot, FourierGrid(128), nus)
+        assert tracemalloc.get_traced_memory()[1] < 6e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_window_lot_and_the_per_t_path_stay_dense(monkeypatch):
+    # a logistic window is no trig polynomial, so R over it is built from N x N blocks, and
+    # g_ex22 at m = 8 has no Taylor stack and quantizes at each t: neither runs fn on a band
+    def no_band(*args, **kwargs):
+        raise AssertionError("a band block was built")
+
+    grid, t = FourierGrid(64), 0.3
+    window = LowerOrderTerms(window_expr(0.0, 1.0, 2.0), Const(0.0), Const(0.0))
+    model = gallery("g_E")
+    asm = Assembler(model, window, grid)
+    assert asm.S.stack is not None and asm.S._cols is not None  # S alone is banded
+    monkeypatch.setattr(quantize._Band, "of", no_band)
+    assert asm.R.stack.shape[1] == 3 * grid.N and asm.R._cols is None
+    assert _rel(asm.R(t), _direct_generator(model, window, t, grid)[: grid.N]) <= 1e-13
+    model, lot = gallery("g_ex22", m=8), LowerOrderTerms.random_trig(1)
+    per_t = Assembler(model, lot, grid)
+    assert per_t.R.stack is None and per_t.S.stack is None
+    assert _rel(per_t.R(t), _direct_generator(model, lot, t, grid)[: grid.N]) <= 1e-13
+    assert _rel(per_t.S(t), _direct_herm_S(model, t, grid)) <= 1e-13
 
 
 def test_taylor_lift_on_a_banded_stack_matches_the_dense_stack(monkeypatch):

@@ -1,6 +1,7 @@
 """Weyl quantization, averaged-part positivity, sharp lower bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,19 +528,51 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def _gathered(layout, dense):
+    """The dense-then-gather reference of a banded stack: each term of the dense twin's
+    stack read at the layout's ELL columns, zero beyond the band."""
+    N, (m, n) = layout.ops.grid.N, layout._shape
+    cols = layout._cols
+    bw = (cols.shape[1] // (n // N) - 1) // 2
+    inband = np.abs(cols % N - (np.arange(m) % N)[:, None]) <= bw
+    return np.concatenate([np.take_along_axis(dense.stack[i * m : (i + 1) * m], cols, axis=1)
+                           * inband for i in range(len(dense.stack) // m)])
+
+
+def _assert_band_of_the_dense_stack(layout, dense, V):
+    """A banded layout's stack, and its rates, bit for bit those of its dense twin's band."""
+    if layout._cols is None:
+        assert np.array_equal(layout.stack, dense.stack)
+        return
+    want = _gathered(layout, dense)
+    assert np.array_equal(layout.stack, want)
+    # the same layout holding the reference stack: rates read nothing but the stack
+    ref = quantize.Layout(layout.ops, layout.names, layout.fn)
+    ref.__dict__["stack"] = want
+    ref._cols, ref._shape = layout._cols, layout._shape
+    for t in (0.05, 0.7):
+        for got, exp in zip(layout.rate(t, V), ref.rate(t, V), strict=True):
+            assert np.array_equal(got, exp)
+
+
 @pytest.mark.parametrize("source", GALLERY + ("g_strict:M=4",))
-@pytest.mark.parametrize("K", (32, 64, 128))
+@pytest.mark.parametrize("K", (20, 32, 36, 64, 128))
 def test_banded_stack_agrees_with_the_dense_stack(source, K, monkeypatch):
+    # the band is built from the compact C_i without an N x N block: its bits are those of
+    # the dense stack's band.  R goes banded at K = 20, S (bw = 4 off g_strict) at K = 36.
     name, _, param = source.partition(":M=")
     model = gallery(name, **({"M": float(param)} if param else {}))
     grid = FourierGrid(K)
     for seed in (0, 1, 2):
         asm = Assembler(model, LowerOrderTerms.random_trig(seed), grid)
         assert asm.R.stack.shape[1] == 3 * 5  # the lower-order terms have degree 2
+        assert (asm.S.stack is not None and asm.S._cols is not None) == (
+            K >= 36 or name == "g_strict")
         rng = np.random.default_rng(seed)
         V = rng.standard_normal((3 * grid.N, 5)) + 1j * rng.standard_normal((3 * grid.N, 5))
         for layout in (asm.R, asm.S):
             dense = _dense_twin(layout, monkeypatch)
+            _assert_band_of_the_dense_stack(layout, dense, V)
             for t in (0.05, 0.7):
                 assert _rel(layout(t), dense(t)) <= 1e-13
                 for W in (V[:, 0], V):
@@ -561,3 +594,37 @@ def test_layout_storage_follows_the_band_and_the_grid():
     window = LowerOrderTerms(window_expr(0.0, 1.0, 2.0), Const(0.0), Const(0.0))
     asm = Assembler(gallery("g_E"), window, FourierGrid(64))
     assert (asm.R.stack.shape[1], asm.S.stack.shape[1]) == (3 * 129, 3 * 9)
+
+
+def test_banded_stack_over_a_symbol_depending_on_xi(monkeypatch):
+    # such a symbol keeps its N x N matrix, not its 4x larger midpoint coefficients, and
+    # the band is read from that matrix
+    grid = FourierGrid(64)
+    lot = LowerOrderTerms(Const(0.0), call("cos", X) * XI, call("sin", 2.0 * X))
+    asm = Assembler(gallery("g_E"), lot, grid)
+    assert asm.ops.stack("b11")[0].shape == (grid.N, grid.N)
+    assert asm.ops.stack("b12")[0].shape == (2 * grid.N, 1)
+    assert asm.R.stack is not None and asm.R._cols is not None
+    V = np.random.default_rng(4).standard_normal((3 * grid.N, 3)) + 0j
+    _assert_band_of_the_dense_stack(asm.R, _dense_twin(asm.R, monkeypatch), V)
+
+
+def _traced_peak(fn):
+    """The most bytes fn holds at once, above what was held when it started (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ("R", "S"))
+def test_banded_stacks_are_built_without_dense_blocks(name):
+    # at K = 128 one N x N block is 1.06 MB and one dense 3N x 3N term 9.5 MB; the stacks are
+    # 0.12 MB (R) and 1.0 MB (S), and their builds traced 17 and 65 MB through dense terms
+    model, lot = gallery("g_E"), LowerOrderTerms.random_trig(0)
+    assert getattr(Assembler(model, lot, FourierGrid(8)), name).stack is not None  # warm-up
+    build = lambda: getattr(Assembler(model, lot, FourierGrid(128)), name).stack
+    assert _traced_peak(build) < 2e6
