@@ -42,11 +42,10 @@ from .evolution import (
 from .models import GALLERY_NAMES, LowerOrderTerms, ModelError, gallery, load_model_file
 from .quantize import (
     FourierGrid,
-    TaylorOps,
     _fp_check,
+    _fp_layouts,
     fp_search,
     friedrichs_part,
-    herm_S_layout,
     op_weyl,
     operator_norm,
     sgarding_residual,
@@ -292,8 +291,8 @@ def _cmd_fpcheck(args):
     grid = FourierGrid(args.grid_k, model.period)
     t_values = np.geomspace(start, args.t1, args.nt)
     if args.delta is not None and args.c is not None:
-        S = herm_S_layout(TaylorOps(model, grid))  # quantized once for the whole t grid
-        results = [_fp_check(S, t, args.delta, args.c) for t in t_values]
+        layouts = _fp_layouts(model, grid)  # quantized once for the whole t grid
+        results = [_fp_check(*layouts, t, args.delta, args.c) for t in t_values]
         worst = min(r.min_eig / r.scale for r in results)
         ok = all(r.feasible for r in results)
         payload = {

@@ -92,10 +92,11 @@ def _shifts(shift, V):
 class Assembler:
     """Applies the generator M(t) and the energy form without per-step matrices.
 
-    M's first block row R(t) and Herm Op(S)(t) are Layouts over one
-    TaylorOps: for symbols polynomial in t (the whole gallery) applying
-    either is one matmul against a Taylor stack and a Horner sum in t;
-    anything else falls back to quantizing at each requested time.
+    M's first block row R(t), Herm Op(S)(t) = Op(S)(t) and Op(a)(t) (the
+    energy's a U3 term) are Layouts over one TaylorOps: for symbols
+    polynomial in t (the whole gallery) applying one is a product with a
+    Taylor stack and a Horner sum in t; anything else builds a Taylor stack
+    about each requested time.
     """
 
     def __init__(self, model: HyperbolicModel, lot: LowerOrderTerms, grid: FourierGrid):
@@ -106,6 +107,7 @@ class Assembler:
         self._shift = np.concatenate([self._jp] * 2)
         self.R = Layout(self.ops, _ROW_SYMBOLS, functools.partial(_first_row, self._jp))
         self.S = herm_S_layout(self.ops)
+        self.a = Layout(self.ops, ("a",), lambda a: [[a]])
 
     def cfl_dt(self, cfl=0.5):
         max_a = self.model.report.max_a if self.model.report else 1.0
@@ -243,7 +245,7 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, assembler=None):
         u3 = U[2 * N :]
         rows.append((t, Q, dQ,
                      np.vdot(U[:N], U[:N]).real, np.vdot(U[N : 2 * N], U[N : 2 * N]).real,
-                     np.vdot(u3, asm.ops.op("a", t, u3)).real, norms))
+                     np.vdot(u3, asm.a(t, u3)).real, norms))
 
     U, aborted = _march(asm, np.array(U0, dtype=complex), cfg.eps_start, cfg.T, cfg.step(asm),
                         record)

@@ -9,11 +9,13 @@ stores its stack by those diagonals once the grid has N >= 8 (2 bw + 1)
 modes (see Layout).
 
 op_weyl uses midpoint frequencies: M[k, k'] = qhat(k - k'; w0 (k + k')/2)
-where qhat(m; xi) is the m-th x-Fourier coefficient of q(., xi).  The
-half-integer midpoint makes real symbols exactly Hermitian.  Coefficients
-are computed by trapezoid quadrature on 2N nodes so that every needed
-difference frequency |k - k'| <= 2K is resolved without aliasing.  A symbol
-constant in xi is transformed as one column, and M is the Toeplitz
+where qhat(m; xi) is the m-th x-Fourier coefficient of q(., xi).  With
+the half-integer midpoint, M[k', k] reads qhat(k' - k) at the xi of M[k,
+k'], and those coefficients are conjugate symmetric by construction
+(_x_coefficients), so a real symbol's M is exactly Hermitian, bit for bit.
+Coefficients are computed by trapezoid quadrature on 2N nodes so that every
+needed difference frequency |k - k'| <= 2K is resolved without aliasing.  A
+symbol constant in xi is transformed as one column, and M is the Toeplitz
 qhat(k - k') read from it as a strided view, with the same bits as every
 midpoint column; friedrichs_part keeps one column too.
 
@@ -21,12 +23,11 @@ TaylorOps quantizes a model's symbols once, as Taylor stacks in t with
 Op(t) = sum_i t^i C_i, and decides which symbols have one.  It keeps each
 C_i in compact form (_weyl_compact): the one x-Fourier column of a symbol
 constant in xi (every gallery symbol), not its N x N matrix.  A Layout is
-an operator affine in them (Herm Op(S), the generator's first block row),
-applied from its own Taylor stack, or quantized at each t.  A banded stack
-is built straight into the band from the compact C_i, by running the
-layout's fn on _Band blocks, so no N x N block is formed; a dense stack,
-TaylorOps.op and the dense consumers (fp_search, fp_check, block_weyl)
-read N x N matrices from the same compact form.
+an operator affine in them (Op(S), J, the generator's first block row),
+applied from its Taylor stack in t or, when a symbol has none, from a
+stack about the requested t.  Either is built straight into the band from
+the compact C_i, by running the layout's fn on _Band blocks, so no N x N
+block is formed; a dense stack is the band at full width.
 c_star is the Fefferman-Phong constant C* = -t lambda_min(G), or a
 Cholesky certificate that it lies below a floor; fp_search and the energy
 shift both use it.
@@ -168,10 +169,12 @@ def _is_diagonal(blk):
 
 
 def _x_coefficients(vals, n):
-    """x-Fourier coefficients [m mod n, column] of values sampled at n nodes along axis 0;
-    one column when they are constant along axis 1 (a symbol constant in its frequency)."""
+    """x-Fourier coefficients [m mod n, column] of real values sampled at n nodes along axis
+    0; one column when they are constant along axis 1 (a symbol constant in its frequency).
+    Those of m < 0 are the conjugates of rfft's, so qhat(-m) = conj(qhat(m)) exactly."""
     vals = np.broadcast_to(vals, np.broadcast_shapes(np.shape(vals), (n, 1)))
-    return np.fft.fft(vals, axis=0) / n
+    half = np.fft.rfft(vals, axis=0) / n
+    return np.concatenate([half, half[n - len(half) : 0 : -1].conj()])
 
 
 def _weyl_compact(expr, t, grid):
@@ -198,7 +201,7 @@ def _weyl_matrix(q, N):
     # r[j] = q[(N - 1 - j) mod 2N], and entry (k, k') of the view is r[N - 1 - k + k'].
     # The view is made directly: numpy's as_strided keeps a ~1 MB Python block alive
     # after some 10^4 calls.
-    r = q[np.arange(N - 1, -N, -1) % len(q), 0]
+    r = np.concatenate([q[N - 1 :: -1, 0], q[: N : -1, 0]])
     return np.ndarray((N, N), r.dtype, r, (N - 1) * r.itemsize, (-r.itemsize, r.itemsize)).copy()
 
 
@@ -257,16 +260,16 @@ def _horner_with_rate(t, Y, n):
 
 
 class TaylorOps:
-    """Taylor coefficients in t of a model's symbols, and Op(symbol)(t) from them.
+    """Taylor coefficients in t of a model's symbols, in _weyl_compact's form.
 
     The symbols are a, b and a2 = a^2 of the model, plus b10, b11 and b12
     of lot when given.  A symbol polynomial in t (the whole gallery)
     quantizes once, on first use, into its stack: C_0, ..., C_p with Op(t)
     = sum_i t^i C_i, each in _weyl_compact's form, one x-Fourier column for
     a symbol constant in xi.  A symbol that is not polynomial in t, or whose
-    degree exceeds 6, has no stack.  op forms the dense [C_0; ...; C_p] on
-    first use, and only for the symbols it is asked for (a: evolve's a U3
-    term and the J part of fp_check and fp_search).
+    degree exceeds 6, has no stack.  local gives Op(t) and Op'(t) in the same
+    form.  Each C_i of a real symbol is exactly Hermitian (_x_coefficients),
+    and so is every sum of them with real t.
     """
 
     def __init__(self, model, grid, lot=None):
@@ -276,7 +279,7 @@ class TaylorOps:
         if lot is not None:
             self.symbols.update(b10=lot.b10, b11=lot.b11, b12=lot.b12)
         self._stacks = {}
-        self._matrices = {}
+        self._rates = {}  # t-derivatives of the symbols without a stack
 
     def stack(self, name):
         """C_0, ..., C_p of Op(symbol) in compact form, quantized on first use; None when the
@@ -288,26 +291,33 @@ class TaylorOps:
                   for i, d in enumerate(terms)))
         return self._stacks[name]
 
-    def op(self, name, t, V=None):
-        """Op(symbol)(t), or Op(symbol)(t) @ V without forming the matrix when there is a stack."""
+    def local(self, name, t, rate=False):
+        """The Taylor stack about t in compact form: (Op(t),), or (Op(t), Op'(t)) for rate
+        when Op' is not 0.  A symbol with a stack takes its Horner sum, and only a symbol
+        without one is quantized at t."""
         coefs = self.stack(name)
         if coefs is None:
-            M = op_weyl(self.symbols[name], t, self.grid)
-            return M if V is None else M @ V
-        if name not in self._matrices:
-            self._matrices[name] = np.concatenate([_weyl_matrix(c, self.grid.N) for c in coefs])
-        W = self._matrices[name]
-        return _horner(t, W if V is None else W @ V, self.grid.N)
+            if name not in self._rates:
+                self._rates[name] = differentiate(self.symbols[name], "t", 1)
+            terms = (self.symbols[name], self._rates[name]) if rate else (self.symbols[name],)
+            return tuple(_weyl_compact(e, t, self.grid) for e in terms)
+        if len({c.shape for c in coefs}) > 1:  # columns and matrices: sum them as matrices
+            coefs = [_weyl_matrix(c, self.grid.N) for c in coefs]
+        Y, n = np.concatenate(coefs), len(coefs[0])
+        if not rate:
+            return (_horner(t, Y, n),)
+        return _horner_with_rate(t, Y, n) if len(coefs) > 1 else (Y,)
 
 
 class _Band:
-    """An N x N block held by its band, as a Layout's fn sees it when the stack is banded.
+    """An N x N block held by its band, as a Layout's fn sees it.
 
     data[k, j] is the entry in column cols[k, j], where cols[k] is the 2 bw + 1
     consecutive columns around k, shifted to stay inside the block; it is 0
-    beyond bw of the diagonal.  The operations fn applies to blocks are
-    defined: a sum with a block or 0, a product with a scalar or with a
-    diagonal from the right (a * jp), negation and the conjugate transpose.
+    beyond bw of the diagonal.  At full width (2 bw + 1 = N) data is the
+    block itself.  The operations fn applies to blocks are defined: a sum
+    with a block or 0, a product with a scalar or with a diagonal from the
+    right (a * jp) and negation.
     """
 
     __array_ufunc__ = None  # numpy scalars and arrays defer to the reflected operators
@@ -318,14 +328,12 @@ class _Band:
     @classmethod
     def of(cls, q, cols):
         """The band of _weyl_matrix(q, N), read from the compact form q."""
-        k = np.arange(len(cols))[:, None]
-        return cls(q[k, cols] if q.shape[1] > 1 else q[(k - cols) % len(q), 0], cols).masked()
-
-    def masked(self):
-        """The block with every entry beyond bw of the diagonal set to 0."""
-        k = np.arange(len(self.cols))[:, None]
-        inband = np.abs(self.cols - k) <= self.cols.shape[1] // 2
-        return _Band(np.where(inband, self.data, 0), self.cols)
+        N, width = cols.shape
+        if width == N:  # the whole block: the strided Toeplitz, with nothing to mask
+            return cls(_weyl_matrix(q, N), cols)
+        k = np.arange(N)[:, None]
+        data = q[k, cols] if q.shape[1] > 1 else q[(k - cols) % len(q), 0]
+        return cls(np.where(np.abs(cols - k) <= width // 2, data, 0), cols)
 
     def __add__(self, other):
         return _Band(self.data + (other.data if isinstance(other, _Band) else other), self.cols)
@@ -339,22 +347,6 @@ class _Band:
 
     def __neg__(self):
         return _Band(-self.data, self.cols)
-
-    def conj(self):
-        return _Band(self.data.conj(), self.cols)
-
-    @property
-    def T(self):
-        # entry (k, cols[k, j]) of the transpose is entry (cols[k, j], k), which row
-        # cols[k, j] holds at place k - cols[cols[k, j], 0] when it lies in the band
-        k = np.arange(len(self.cols))[:, None]
-        place = np.clip(k - self.cols[self.cols, 0], 0, self.cols.shape[1] - 1)
-        return _Band(self.data[self.cols, place], self.cols).masked()
-
-
-def _adjoint(blk):
-    """The conjugate transpose of a block: a matrix, a _Band, a diagonal vector or a scalar."""
-    return np.conj(blk) if np.isscalar(blk) else blk.conj().T
 
 
 def _band_rows(cols, rows, out):
@@ -382,26 +374,27 @@ class Layout:
     """F(t) = fn(Op(s_1)(t), ..., Op(s_n)(t)) for fn affine in the named symbols of ops.
 
     fn returns F's block rows, a nested list of blocks as BlockOp.from_blocks
-    lays out.  When every symbol has a stack (ops.stack decides), F(t) =
-    sum_i t^i F_i with F_0 = fn(C_0) and F_i = fn(C_i) - fn(0) from the
-    symbols' t^i coefficients C_i, built on first use.  Otherwise F is built
-    from the symbols quantized at t, kept for the last two times (an RK4
-    step asks for t + h/2 twice).  Callers own their layouts, ops holds
-    none: no stack outlives its user.
+    lays out.  F is applied from a Taylor stack F_0, F_1, ... with F_0 =
+    fn(C_0) and F_i = fn(C_i) - fn(0) from the symbols' Taylor coefficients
+    C_i: about t = 0, built on first use, when every symbol has a stack
+    (ops.stack decides), else about the requested t, [F(t)] or [F(t),
+    F'(t)] from ops.local, kept for the last two (t, rate) keys (an RK4 step
+    asks for t + h/2 twice).  Callers own their layouts, ops holds none: no
+    stack outlives its user.  Every C_i is exactly Hermitian, so F is too
+    when fn places the blocks symmetrically (Op(S), J): no Hermitian part is
+    taken.
 
-    stack alone chooses how F_0, ..., F_p are stored.  fn only lays out
-    blocks, scales them by scalars and diagonals and takes adjoints, so each
-    block of F is banded in k - k' with the symbols' band: bw = max x_degree
-    * period / 2 pi modes when every symbol is a trig polynomial in x.  When
-    bw is an integer and the grid is wide enough for the band to pay off
-    (_BAND_PAYOFF (2 bw + 1) <= N), each row of F keeps 2 bw + 1 entries per
-    block (an ELL layout: column indices _cols, zero where the band runs off
-    a block's edge).  They are built straight from the symbols' compact C_i
-    by running fn on _Band blocks, so no N x N block is formed; F(t) @ V is a
-    Horner sum over those entries, one gather of V's rows and one batched
-    product, and F(t) alone is scattered into a dense matrix.  Otherwise fn
-    runs on the N x N matrices C_i, the stack is the dense [F_0; ...; F_p],
-    and F(t) @ V is one matmul and a Horner sum.
+    fn only lays out blocks and scales them by scalars and diagonals, so
+    each block of F is banded in k - k' with the symbols' band: bw = max
+    x_degree * period / 2 pi modes when every symbol is a trig polynomial in
+    x.  A stack row keeps 2 bw + 1 entries per block (an ELL layout: column
+    indices _cols, zero where the band runs off a block's edge), built
+    straight from the compact C_i by running fn on _Band blocks, so no N x N
+    block is formed.  F(t) @ V is a Horner sum over those entries, one
+    gather of V's rows and one batched product, and F(t) alone is scattered
+    into a dense matrix.  When the band does not pay off (_BAND_PAYOFF (2 bw
+    + 1) > N, or bw is no integer) it is the full width, bw = K: the stack
+    is the dense [F_0; F_1; ...] and F(t) @ V one matmul and a Horner sum.
     """
 
     def __init__(self, ops, names, fn):
@@ -412,60 +405,69 @@ class Layout:
 
     @functools.cached_property
     def stack(self):
-        """F's Taylor coefficients, dense or banded, built on first use; None when a symbol
-        is not polynomial in t."""
+        """F's Taylor stack about t = 0, built on first use; None when a symbol is not
+        polynomial in t."""
         coefs = [self.ops.stack(name) for name in self.names]
-        if any(c is None for c in coefs):
-            return None
-        N = self.ops.grid.N
-        cols = self._band()
-        if cols is None:  # fn runs on the N x N matrices C_i
-            block, zero, width = functools.partial(_weyl_matrix, N=N), np.zeros((N, N)), N
-            lay_out = lambda rows, out: np.copyto(out, self._dense(rows))
-        else:  # fn runs on their bands
-            block, zero = functools.partial(_Band.of, cols=cols), _Band(np.zeros(cols.shape), cols)
-            width, lay_out = cols.shape[1], functools.partial(_band_rows, cols)
-        at, const = self._constant(lay_out, zero, width)
-        m = self._shape[0]
-        W = np.zeros((max(len(c) for c in coefs) * m, self._shape[1] // N * width), dtype=complex)
+        return None if any(c is None for c in coefs) else self._build(coefs)
+
+    def _build(self, coefs):
+        """F's stack in the band's storage from each symbol's compact Taylor coefficients."""
+        cols, (m, n) = self._band, self._shape
+        _, at, const = self._constant
+        block, zero = functools.partial(_Band.of, cols=cols), _Band(np.zeros(cols.shape), cols)
+        W = np.zeros((max(map(len, coefs)) * m, n // len(cols) * cols.shape[1]), dtype=complex)
         for i in range(len(W) // m):
             term = W[i * m : (i + 1) * m]  # filled in place: no copy of the stack's size
-            lay_out(self.fn(*(block(c[i]) if i < len(c) else zero for c in coefs)), term)
+            _band_rows(cols, self.fn(*(block(c[i]) if i < len(c) else zero for c in coefs)),
+                       term)
             if i:
                 term.reshape(-1)[at] -= const  # F_i = fn(C_i) - fn(0)
-        self._cols = None if cols is None else (
-            np.arange(0, self._shape[1], N)[None, :, None] + cols[np.arange(m) % N, None, :]
-        ).reshape(m, -1)
         W.flags.writeable = False
         return W
 
-    def _constant(self, lay_out, zero, width):
-        """fn(0) in the stack's storage, as the places and values of its few nonzero entries
-        (S's 3 I); sets F's shape, for the Horner sums and the scatter."""
-        rows = self.fn(*(zero for _ in self.names))
-        N = self.ops.grid.N
-        self._shape = (len(rows) * N, len(rows[0]) * N)
-        const = np.zeros((len(rows) * N, len(rows[0]) * width), dtype=complex)
-        lay_out(rows, const)
-        at = np.flatnonzero(const)
-        return at, const.reshape(-1)[at]
-
+    @functools.cached_property
     def _band(self):
-        """stack's choice of storage: None when F stays dense, else each block row's band
-        columns, 2 bw + 1 consecutive ones around its mode, shifted to stay inside the block."""
+        """Each block row's band columns: 2 bw + 1 consecutive ones around its mode, shifted
+        to stay inside the block; all N of them when the band does not pay off."""
         grid = self.ops.grid
         degrees = [x_degree(self.ops.symbols[name]) for name in self.names]
-        if None in degrees:
-            return None
-        bw = max(degrees) * grid.period / (2.0 * math.pi)
-        if bw != int(bw) or _BAND_PAYOFF * (2 * bw + 1) > grid.N:
-            return None
+        bw = None if None in degrees else max(degrees) * grid.period / (2.0 * math.pi)
+        if bw is None or bw != int(bw) or _BAND_PAYOFF * (2 * bw + 1) > grid.N:
+            bw = grid.K
         bw, N = int(bw), grid.N
         return np.clip(np.arange(N) - bw, 0, N - 2 * bw - 1)[:, None] + np.arange(2 * bw + 1)
 
-    def _dense(self, rows):
-        """F as a dense matrix from fn's block rows."""
-        return BlockOp.from_blocks(rows, self.ops.grid).matrix
+    @functools.cached_property
+    def _constant(self):
+        """F's shape, and fn(0) in the stack's storage as the places and values of its few
+        nonzero entries (S's 3 I)."""
+        cols = self._band
+        rows = self.fn(*(_Band(np.zeros(cols.shape), cols) for _ in self.names))
+        const = np.zeros((len(rows) * len(cols), len(rows[0]) * cols.shape[1]), dtype=complex)
+        _band_rows(cols, rows, const)
+        at = np.flatnonzero(const)
+        return (len(rows) * len(cols), len(rows[0]) * len(cols)), at, const.reshape(-1)[at]
+
+    _shape = functools.cached_property(lambda self: self._constant[0])
+
+    @functools.cached_property
+    def _cols(self):
+        """Each row of F's ELL column indices; None at full width, where a row holds F's."""
+        cols, (m, n) = self._band, self._shape
+        if cols.shape[1] == len(cols):
+            return None
+        return (np.arange(0, n, len(cols))[None, :, None]
+                + cols[np.arange(m) % len(cols), None, :]).reshape(m, -1)
+
+    def _about(self, t, rate):
+        """F's Taylor stack about t, [F(t)] or [F(t), F'(t)], for a layout without a stack."""
+        key = (float(t), rate)
+        if key not in self._recent:
+            if len(self._recent) == 2:
+                self._recent.pop(next(iter(self._recent)))
+            self._recent[key] = self._build([self.ops.local(name, t, rate)
+                                             for name in self.names])
+        return self._recent[key]
 
     def _apply(self, C, V):
         """C @ V for C one coefficient of F, or several stacked, in the stack's storage."""
@@ -475,19 +477,11 @@ class Layout:
         out = np.matmul(C.reshape((-1, self._shape[0], 1, C.shape[-1])), G)
         return out.reshape(C.shape[:-1] + V.shape[1:])
 
-    def _at(self, t):
-        key = float(t)
-        if key not in self._recent:
-            if len(self._recent) == 2:
-                self._recent.pop(next(iter(self._recent)))
-            self._recent[key] = self._dense(self.fn(*(self.ops.op(name, t) for name in self.names)))
-        return self._recent[key]
-
     def __call__(self, t, V=None):
-        """F(t), or F(t) @ V without forming the matrix when there is a stack."""
+        """F(t), or F(t) @ V without forming the matrix."""
         W = self.stack
-        if W is None:
-            return self._at(t) if V is None else self._at(t) @ V
+        if W is None:  # the stack about t, summed at 0
+            W, t = self._about(t, False), 0.0
         rows = self._shape[0]
         if self._cols is None:
             return _horner(t, W if V is None else W @ V, rows)
@@ -504,34 +498,21 @@ class Layout:
         return self._apply(self.stack[i * rows : (i + 1) * rows], V)
 
     def rate(self, t, V):
-        """(F(t) @ V, F'(t) @ V): the Horner sum's t-derivative, or without a stack
-        fn(Op(s_1')(t), ...) - fn(0) from the symbols' t-derivatives quantized at t."""
+        """(F(t) @ V, F'(t) @ V): the Horner sum and its t-derivative."""
         W = self.stack
         if W is None:
-            derivatives, fn_at_zero = self._rate_parts
-            rates = (op_weyl(d, t, self.ops.grid) for d in derivatives)
-            return self._at(t) @ V, (self._dense(self.fn(*rates)) - fn_at_zero) @ V
+            W, t = self._about(t, True), 0.0
         if self._cols is None:
             return _horner_with_rate(t, W @ V, self._shape[0])
         # F and F' share one gather of V
         return tuple(self._apply(np.stack(np.broadcast_arrays(
             *_horner_with_rate(t, W, self._shape[0]))), V))
 
-    @functools.cached_property
-    def _rate_parts(self):
-        """The symbols' t-derivatives and fn(0), for rates without a stack."""
-        zero = np.zeros((self.ops.grid.N,) * 2)
-        return ([differentiate(self.ops.symbols[name], "t", 1) for name in self.names],
-                self._dense(self.fn(*(zero for _ in self.names))))
-
 
 def herm_S_layout(ops):
-    """Herm Op(S)(t) as a Layout over the a, b and a2 of ops."""
-    def herm_S(a, b, a2):
-        S = S_entries(a, b, a2)
-        # 0.5 (S + S^H) block by block: block (i, j) of S^H is the adjoint of block (j, i)
-        return [[0.5 * (S[i][j] + _adjoint(S[j][i])) for j in range(3)] for i in range(3)]
-    return Layout(ops, ("a", "b", "a2"), herm_S)
+    """Op(S)(t) as a Layout over the a, b and a2 of ops; it is exactly Hermitian, so it is
+    its own Hermitian part."""
+    return Layout(ops, ("a", "b", "a2"), S_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -723,36 +704,37 @@ class FpCheckResult:
     feasible: bool
 
 
-def _fp_pieces(S, t):
-    """Herm(Op(S)) from its layout S, J's block matrix with Herm(Op(a)), P = blockdiag(jp^-2)."""
-    op_a = S.ops.op("a", t)
-    M_J = BlockOp.from_blocks(J_entries(0.5 * (op_a + op_a.conj().T)), S.ops.grid).matrix
-    P = np.diag(np.tile(S.ops.grid.jp_values**-2.0, 3))
-    return S(t), M_J, P
-
-
 # feasibility slack of fp_check and fp_search alike: min eig >= -FP_TOL scale
 FP_TOL = 1e-8
 
 
+def _fp_layouts(model, grid):
+    """The Op(S) and J = blockdiag(1, 1, Op(a)) layouts of fp_check and fp_search, over one
+    TaylorOps: both are exactly Hermitian."""
+    ops = TaylorOps(model, grid)
+    return herm_S_layout(ops), Layout(ops, ("a",), J_entries)
+
+
 def fp_check(model, t, grid, delta, C):
     """Sharp lower bound test: Herm(Op(S)) - delta t J_op + C t^-1 jp^-2 >= -FP_TOL scale."""
-    return _fp_check(herm_S_layout(TaylorOps(model, grid)), t, delta, C)
+    return _fp_check(*_fp_layouts(model, grid), t, delta, C)
 
 
-def _fp_check(S, t, delta, C):
-    """fp_check on the Herm Op(S) layout S, which a caller checking a t grid builds once."""
+def _fp_check(S, J, t, delta, C):
+    """fp_check on the layouts of _fp_layouts, which a caller checking a t grid builds once."""
     if not t > 0:
         raise ValueError("fp_check needs t > 0")
     for name, value in (("delta", delta), ("C", C)):
         if not math.isfinite(value):
             raise ValueError(f"fp_check needs a finite {name}, got {value}")
-    return _fp_eval(*_fp_pieces(S, t), t, delta, C)
+    return _fp_eval(S(t), J(t), np.tile(S.ops.grid.jp_values**-2.0, 3), t, delta, C)
 
 
-def _fp_eval(H_S, M_J, P, t, delta, C):
-    H = H_S - delta * t * M_J + (C / t) * P
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+def _fp_eval(H_S, M_J, p, t, delta, C):
+    """fp_check's test of H = H_S - delta t M_J + (C/t) diag(p), H_S and M_J Hermitian."""
+    H = H_S - delta * t * M_J
+    H[np.diag_indices(len(H))] += (C / t) * p
+    eigs = np.linalg.eigvalsh(H)
     scale = 1.0 + float(np.max(np.abs(eigs)))
     min_eig = float(eigs[0])
     return FpCheckResult(min_eig=min_eig, scale=scale, feasible=bool(min_eig >= -FP_TOL * scale))
@@ -798,8 +780,8 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None):
     every grid C >= C*; a row with nothing feasible left needs neither.
     Smaller grid values can still pass within the -FP_TOL scale slack; they
     get fp_check's exact test, largest first, and the scan stops at the
-    first infeasible one.  H_S and Op(a) come from Taylor stacks in t
-    quantized once per call.
+    first infeasible one.  H_S and M_J come from the Op(S) and J layouts,
+    quantized once per call, and P and its scaling are formed once.
     """
     if deltas is None:
         deltas = [2.0**p for p in range(-7, 1)]
@@ -810,11 +792,11 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None):
     ok = np.ones((len(deltas), len(Cs)), dtype=bool)
     c_grid = np.asarray(Cs, dtype=float)
     descending = np.argsort(-c_grid, kind="stable")
-    S = herm_S_layout(TaylorOps(model, grid))
+    S, J = _fp_layouts(model, grid)
+    p = np.tile(grid.jp_values**-2.0, 3)  # P's diagonal
+    rr = np.outer(p**-0.5, p**-0.5)
     for t in t_values:
-        H_S, M_J, P = _fp_pieces(S, t)
-        r = np.diag(P).real ** -0.5
-        rr = np.outer(r, r)
+        H_S, M_J = S(t), J(t)
         for i, d in enumerate(deltas):
             if not ok[i].any():
                 continue
@@ -822,7 +804,7 @@ def fp_search(model, t_values, grid, deltas=None, Cs=None):
             if cs is None:
                 continue  # C* < C_min: no grid value of this row changes at t
             for j in descending[(c_grid[descending] < cs) & ok[i, descending]]:
-                if not _fp_eval(H_S, M_J, P, t, d, Cs[j]).feasible:
+                if not _fp_eval(H_S, M_J, p, t, d, Cs[j]).feasible:
                     ok[i, c_grid <= c_grid[j]] = False
                     break
     pairs = [(deltas[i], Cs[j]) for i in range(len(deltas)) for j in range(len(Cs)) if ok[i, j]]

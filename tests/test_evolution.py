@@ -28,7 +28,8 @@ from triplex.evolution import (
     window_expr,
 )
 from triplex.models import LowerOrderTerms, ModelError, gallery
-from triplex.quantize import BlockOp, FourierGrid, Layout, block_weyl, op_weyl, operator_norm
+from triplex.quantize import (BlockOp, FourierGrid, Layout, TaylorOps, block_weyl, op_weyl,
+                              operator_norm)
 from triplex.symbols import Const, differentiate
 from triplex.symmetrizer import A_entries, S_symbols
 
@@ -425,25 +426,32 @@ def test_cutoff_check_forms_no_dense_commutator_or_adjoint():
         tracemalloc.stop()
 
 
-def test_window_lot_and_the_per_t_path_stay_dense(monkeypatch):
-    # a logistic window is no trig polynomial, so R over it is built from N x N blocks, and
-    # g_ex22 at m = 8 has no Taylor stack and quantizes at each t: neither runs fn on a band
-    def no_band(*args, **kwargs):
-        raise AssertionError("a band block was built")
-
+def test_window_lot_stays_dense_and_the_per_t_path_is_banded():
+    # a logistic window is no trig polynomial, so R over it is full width; g_ex22 at m = 8
+    # has no Taylor stack, and its stacks about each t take the band like a global stack
     grid, t = FourierGrid(64), 0.3
     window = LowerOrderTerms(window_expr(0.0, 1.0, 2.0), Const(0.0), Const(0.0))
     model = gallery("g_E")
     asm = Assembler(model, window, grid)
     assert asm.S.stack is not None and asm.S._cols is not None  # S alone is banded
-    monkeypatch.setattr(quantize._Band, "of", no_band)
     assert asm.R.stack.shape[1] == 3 * grid.N and asm.R._cols is None
     assert _rel(asm.R(t), _direct_generator(model, window, t, grid)[: grid.N]) <= 1e-13
     model, lot = gallery("g_ex22", m=8), LowerOrderTerms.random_trig(1)
     per_t = Assembler(model, lot, grid)
     assert per_t.R.stack is None and per_t.S.stack is None
-    assert _rel(per_t.R(t), _direct_generator(model, lot, t, grid)[: grid.N]) <= 1e-13
-    assert _rel(per_t.S(t), _direct_herm_S(model, t, grid)) <= 1e-13
+    assert per_t.R._cols is not None and per_t.S._cols is not None
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((3 * grid.N, 2)) + 1j * rng.standard_normal((3 * grid.N, 2))
+    direct = _direct_generator(model, lot, t, grid)
+    assert _rel(per_t.R(t), direct[: grid.N]) <= 1e-13
+    assert _rel(per_t.apply(t, V), direct @ V) <= 1e-13
+    H_S = _direct_herm_S(model, t, grid)
+    rate = block_weyl([[differentiate(e, "t", 1) for e in row] for row in S_symbols(model)],
+                      t, grid).matrix
+    assert _rel(per_t.S(t), H_S) <= 1e-13
+    for got, want in zip(per_t.S.rate(t, V), (H_S @ V, rate @ V), strict=True):
+        assert _rel(got, want) <= 1e-13
+    assert sorted(per_t.S._recent) == [(t, False), (t, True)]
 
 
 def test_taylor_lift_on_a_banded_stack_matches_the_dense_stack(monkeypatch):
@@ -659,10 +667,11 @@ def test_non_polynomial_symbols_fall_back_to_the_dense_path():
         u = V[:, 0]
         assert asm.energy_rate(t, u, u)[0] == pytest.approx(float(np.real(np.vdot(u, H_S @ u))), rel=1e-12)
         assert _rel(asm.R(t), direct[: grid.N]) <= 1e-13
-    assert sorted(asm.S._recent) == [0.1, 0.7]
+    # S keeps its stacks about the last two (t, rate) keys: F(0.7), and F(0.7) with F'(0.7)
+    assert sorted(asm.S._recent) == [(0.7, False), (0.7, True)] and asm.S._cols is None
     # an RK4 step asks for three times; the layout keeps R of the last two
     _rk4(V, 0.2, 0.1, asm.apply, 1j * asm.apply(0.2, V))
-    assert sorted(asm.R._recent) == [0.2 + 0.05, 0.2 + 0.1]
+    assert sorted(asm.R._recent) == [(0.2 + 0.05, False), (0.2 + 0.1, False)]
 
 
 def test_taylor_stacks_cover_polynomials_up_to_the_cap():
@@ -681,7 +690,7 @@ def test_polynomial_models_evolve_without_dense_matrices(monkeypatch):
         return dense() if V is None else real_call(self, t, V)
 
     real_call = Layout.__call__
-    monkeypatch.setattr(Layout, "_at", dense)
+    monkeypatch.setattr(TaylorOps, "local", dense)  # no symbol is quantized at t
     monkeypatch.setattr(Layout, "__call__", product_only)
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(17, amplitude=0.4)
