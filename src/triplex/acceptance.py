@@ -22,6 +22,7 @@ import numpy as np
 from . import reporting
 from .cubic import Grid3, check_condition, discriminants, root_oracle_array, roots_trig_array
 from .evolution import (
+    MARGIN_TOL,
     Assembler,
     EvolveConfig,
     _march,
@@ -36,7 +37,7 @@ from .evolution import (
     seeded_state,
     taylor_lift,
 )
-from .models import LowerOrderTerms, gallery
+from .models import LowerOrderTerms, discriminant, gallery
 from .quantize import FourierGrid, fp_search, friedrichs_part, operator_norm
 from .symmetrizer import S_symbols, identity_defects
 
@@ -84,7 +85,7 @@ def criterion_algebraic_identities(quick=False, seed=0):
         asym, det = identity_defects(t, alpha, a, b)
         worst["asym"] = max(worst["asym"], asym)
         worst["det"] = max(worst["det"], det)
-        delta = 4.0 * a**3 - 27.0 * b**2
+        delta = discriminant(a, b)
 
         # shift invariance of the discriminant: expand p(tau + s)
         s = rng.uniform(-2.0, 2.0, n)
@@ -264,7 +265,7 @@ def criterion_sharp_bound_feasibility(quick=False, seed=0):
 
 
 def criterion_energy_inequality(quick=False, seed=0):
-    """6: discrete margins stay above -tol_E and contract when dt halves.
+    """6: discrete margins stay above -MARGIN_TOL and contract when dt halves.
 
     Contraction is measured as the worst distance of the normalized margins
     from an 8x-refined reference run, which converges at rate dt^2 whether
@@ -272,7 +273,6 @@ def criterion_energy_inequality(quick=False, seed=0):
     strictly positive continuum value and not move under refinement).
     """
     t0 = time.perf_counter()
-    tol_E = 0.05
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(seed + 606)
     grid = FourierGrid(8 if quick else 16)
@@ -281,8 +281,7 @@ def criterion_energy_inequality(quick=False, seed=0):
     consts = search_energy_constants(model, lot, grid, U0=U0)
     n_run = max(consts.n_star, 1e-6)  # zero buffer: reference margins bottom at 0
     # the dt run is the constants run, reweighted
-    reports = {1.0: energy_margins(dataclasses.replace(consts.trace, n_weight=n_run,
-                                                       n_star=n_run), tol=tol_E)}
+    reports = {1.0: energy_margins(dataclasses.replace(consts, n_weight=n_run, n_star=n_run))}
     for ds in (0.5, 0.125):
         cfg = EvolveConfig(eps_start=1e-2, T=1.0, dt_scale=ds, lam=consts.lam,
                            gamma=consts.gamma, n_weight=n_run, n_star=n_run)
@@ -290,14 +289,14 @@ def criterion_energy_inequality(quick=False, seed=0):
         if trace.aborted:
             return _timed(6, "energy-inequality", False,
                           {"verdict": "unbounded", "summary": "run aborted"}, t0)
-        reports[ds] = energy_margins(trace, tol=tol_E)
+        reports[ds] = energy_margins(trace)
 
     dev1 = margin_deviation(reports[1.0], reports[0.125])
     dev2 = margin_deviation(reports[0.5], reports[0.125])
     improvement = dev1 / max(dev2, 1e-15)
     passed = reports[1.0].passed and reports[0.5].passed and improvement >= 3.0
     details = {
-        "tol_E": tol_E,
+        "tol_E": MARGIN_TOL,
         "constants": {"n_star": consts.n_star, "n_weight": consts.n_weight,
                       "gamma": consts.gamma, "lam": consts.lam},
         "min_margin_dt": reports[1.0].min_margin,
@@ -463,15 +462,14 @@ def _bundle(seed):
     lot = LowerOrderTerms.random_trig(seed + 1111)
     grid = FourierGrid(8)
     U0 = seeded_state(grid, seed + 1112)
-    consts = search_energy_constants(model, lot, grid, U0=U0)
-    trace = consts.trace
+    trace = search_energy_constants(model, lot, grid, U0=U0)
     margins = energy_margins(trace)
     loss = loss_probe(model, lot, grid, EvolveConfig(), (1, 2, 4, 8))
     cond = check_condition(model, "E")
     return {
         "conditions.json": reporting.json_text(cond.to_json_dict()),
         "manifest.json": reporting.json_text({
-            "constants": {"n_star": consts.n_star, "lam": consts.lam},
+            "constants": {"n_star": trace.n_star, "lam": trace.lam},
             "verdicts": {"margins_passed": margins.passed,
                          "min_margin": margins.min_margin,
                          "loss_exponent": loss.exponent},

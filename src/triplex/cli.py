@@ -24,6 +24,7 @@ from .cubic import (
     NonHyperbolicError,
     check_beta1_bound,
     check_condition,
+    condition_weight,
     default_condition_grid,
     glaeser_bounds,
     roots_trig_array,
@@ -39,7 +40,8 @@ from .evolution import (
     search_energy_constants,
     seeded_state,
 )
-from .models import GALLERY_NAMES, LowerOrderTerms, ModelError, gallery, load_model_file
+from .models import (GALLERY_NAMES, LowerOrderTerms, ModelError, discriminant, gallery,
+                     load_model_file)
 from .quantize import (
     FourierGrid,
     _fp_check,
@@ -86,10 +88,12 @@ def _resolve_model(source):
     kwargs = {}
     if params:
         for item in params.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ModelError(f"bad model parameter {item!r} (expected k=v)")
-            kwargs[key.strip()] = float(value)
+            key, _, value = item.partition("=")
+            try:  # no '=' leaves value empty, which float rejects too
+                kwargs[key.strip()] = float(value)
+            except ValueError:
+                raise ModelError(
+                    f"bad model parameter {item!r} (expected k=v with v a number)") from None
     return gallery(name, **kwargs), LowerOrderTerms.zero()
 
 
@@ -106,9 +110,8 @@ def _check_time(model, t, flag):
 
 
 def _lot_for(args, lot_from_file):
-    seed = getattr(args, "lot_seed", None)
-    if seed is not None:
-        return LowerOrderTerms.random_trig(seed)
+    if args.lot_seed is not None:
+        return LowerOrderTerms.random_trig(args.lot_seed)
     return lot_from_file
 
 
@@ -120,12 +123,11 @@ def _emit(args, payload, artifacts=()):
     """
     text = reporting.json_text(payload)
     sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        os.makedirs(out, exist_ok=True)
-        reporting.write_text(os.path.join(out, f"{args.command}.json"), text)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        reporting.write_text(os.path.join(args.out, f"{args.command}.json"), text)
         for fname, render in artifacts:
-            reporting.write_text(os.path.join(out, fname), render())
+            reporting.write_text(os.path.join(args.out, fname), render())
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def _cmd_analyze(args):
     x_vals = np.linspace(0.0, model.period, 64, endpoint=False)
     xi_vals = np.logspace(0.0, math.log10(64.0), 9)
     _, _, a, b, _ = grid_fields(model, Grid3(t_vals, x_vals, xi_vals))
-    delta = 4.0 * a**3 - 27.0 * b**2
+    delta = discriminant(a, b)
     idx = np.unravel_index(int(np.argmin(delta)), delta.shape)
     hyperbolic = bool(delta[idx] >= -1e-12)
     roots = None
@@ -185,9 +187,8 @@ def _cmd_conditions(args):
 
         def sweep():
             t, alpha, a, b, _ = grid_fields(model, grid)
-            dd = 4.0 * a**3 - 27.0 * b**2
-            w = t**2 * (t + alpha) if args.which == "H" else t * (t + alpha) ** 2
-            curve = np.min(dd / w, axis=(1, 2))
+            curve = np.min(discriminant(a, b) / condition_weight(args.which, t, alpha),
+                           axis=(1, 2))
             return reporting.csv_text(("t", "min_ratio"), zip(grid.t_vals, curve))
 
         art = [("conditions_sweep.csv", sweep)]
@@ -331,9 +332,8 @@ def _cmd_evolve(args):
     n_weight, lam = args.n_weight, args.lam
     if n_weight is None or lam is None:
         # N* is measured at the given lam, or at the searched one
-        consts = search_energy_constants(model, lot, grid, eps_start=args.eps_start,
-                                         T=args.t1, gamma=args.gamma, U0=U0, dt=args.dt,
-                                         lam=lam)
+        consts = search_energy_constants(model, lot, grid, U0=U0, eps_start=args.eps_start,
+                                         T=args.t1, gamma=args.gamma, dt=args.dt, lam=lam)
         searched = {"n_star": consts.n_star, "n_weight": consts.n_weight,
                     "gamma": consts.gamma, "lam": consts.lam}
         n_weight = consts.n_weight if n_weight is None else n_weight
@@ -347,9 +347,9 @@ def _cmd_evolve(args):
     if searched is not None:
         # the constants run is this run: same U0, step and lam; only E's weight differs.
         # A search whose run blew up gives N = N* = inf, and there is no energy to weigh.
-        if not (consts.trace.aborted and args.n_weight is None):
+        if not (consts.aborted and args.n_weight is None):
             cfg.validate()
-        trace = dataclasses.replace(consts.trace, n_weight=cfg.n_weight, n_star=cfg.n_star)
+        trace = dataclasses.replace(consts, n_weight=cfg.n_weight, n_star=cfg.n_star)
     else:
         trace, _ = evolve(model, lot, U0, cfg, grid)  # validates cfg
     verdicts = {"aborted": trace.aborted}
@@ -404,7 +404,7 @@ def _cmd_loss(args):
         "exponent": rep.exponent,
         "bounded": ok,
     }
-    jp = np.sqrt(1.0 + (np.array(k_list, dtype=float) * grid.base_freq) ** 2)
+    jp = grid.jp_values[np.asarray(rep.modes) + grid.K]
     artifacts = [("loss.csv", lambda: reporting.csv_text(("k", "jp", "growth"),
                                                          zip(rep.modes, jp, rep.growth)))]
     if ok:
@@ -473,9 +473,8 @@ def _cmd_selftest(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_model(p, default=None):
-    p.add_argument("--model", default=default, required=default is None,
-                   help="gallery name, name:k=v,... or model file path")
+def _add_model(p):
+    p.add_argument("--model", required=True, help="gallery name, name:k=v,... or model file path")
 
 
 def _build_parser():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HyperbolicModel
+from .models import HyperbolicModel, discriminant
 from .symbols import differentiate
 from .symmetrizer import grid_fields
 
@@ -75,7 +75,7 @@ def roots_trig_array(a, b, jp):
     if np.any(over):
         idx = tuple(np.argwhere(over)[0])
         raise NonHyperbolicError(
-            f"4 a^3 - 27 b^2 = {4 * a[idx] ** 3 - 27 * b[idx] ** 2:.3e} < 0 "
+            f"4 a^3 - 27 b^2 = {discriminant(a[idx], b[idx]):.3e} < 0 "
             f"at a = {a[idx]:.6g}, b = {b[idx]:.6g}"
         )
     arg = np.clip(arg, -1.0, 1.0)
@@ -163,6 +163,11 @@ class ConditionReport:
         }
 
 
+def condition_weight(which, t, alpha):
+    """The weight that condition (H) or (E) bounds Delta by: t^2 (t + alpha) or t (t + alpha)^2."""
+    return t**2 * (t + alpha) if which == "H" else t * (t + alpha) ** 2
+
+
 def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     """Grid check of condition (H) or (E).
 
@@ -179,9 +184,8 @@ def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     if np.any(grid.t_vals <= 0):
         raise ValueError("condition grid must have t > 0 only")
     tg, alpha, a, b, jp2 = grid_fields(model, grid)
-    delta_field = 4.0 * a**3 - 27.0 * b**2
-    weight = tg**2 * (tg + alpha) if which == "H" else tg * (tg + alpha) ** 2
-    ratio = delta_field / weight
+    delta_field = discriminant(a, b)
+    ratio = delta_field / condition_weight(which, tg, alpha)
     flat = int(np.argmin(ratio))
     idx = np.unravel_index(flat, ratio.shape)
     min_ratio = float(ratio[idx])

@@ -109,7 +109,7 @@ class Assembler:
         self.S = herm_S_layout(self.ops)
         self.a = Layout(self.ops, ("a",), lambda a: [[a]])
 
-    def cfl_dt(self, cfl=0.5):
+    def cfl_dt(self, cfl):
         max_a = self.model.report.max_a if self.model.report else 1.0
         return cfl / ((math.sqrt(max(max_a, 0.0)) + 1.0) * float(np.max(self._jp)))
 
@@ -263,6 +263,10 @@ def evolve(model, lot, U0, cfg: EvolveConfig, grid, assembler=None):
 # ---------------------------------------------------------------------------
 # energy inequality margins
 
+# a normalized margin below -MARGIN_TOL fails the energy inequality
+MARGIN_TOL = 0.05
+
+
 @dataclass(frozen=True)
 class MarginReport:
     margins: np.ndarray        # normalized, per step
@@ -276,7 +280,7 @@ class MarginReport:
     passed: bool
 
 
-def energy_margins(trace: EnergyTrace, tol=0.05):
+def energy_margins(trace: EnergyTrace):
     """Per-step margins of the homogeneous inequality dE/dt <= -(N - N*) t^-1 E.
 
     The right-hand side w(t) (N* - N) Q / t, w(t) = t^-N e^(-gamma t), is
@@ -284,7 +288,8 @@ def energy_margins(trace: EnergyTrace, tol=0.05):
     difference, so margins converge at rate dt^2.  Normalization divides by
     the larger of the two sides (floored by the weighted energy scale).  The
     integrated form E(t) + (N - N*) int E/tau dtau <= E(eps) is also
-    accumulated; int_defect is its worst relative excess.
+    accumulated; int_defect is its worst relative excess.  The margins pass
+    when none lies below -MARGIN_TOL.
     """
     if trace.aborted:
         raise ValueError("trace aborted; margins undefined")
@@ -323,7 +328,7 @@ def energy_margins(trace: EnergyTrace, tol=0.05):
         min_margin=float(margins[i]) if len(margins) else math.inf,
         argmin_t=float(tbar[i]) if len(margins) else math.nan,
         int_defect=int_defect,
-        passed=bool(len(margins) and float(margins[i]) >= -tol),
+        passed=bool(len(margins) and float(margins[i]) >= -MARGIN_TOL),
     )
 
 
@@ -337,15 +342,6 @@ def margin_deviation(report: MarginReport, reference: MarginReport):
     """
     ref = np.interp(report.midpoints, reference.midpoints, reference.margins)
     return float(np.max(np.abs(report.margins - ref)))
-
-
-@dataclass(frozen=True)
-class EnergyConstants:
-    n_star: float
-    n_weight: float
-    gamma: float
-    lam: float
-    trace: EnergyTrace       # the measuring run, weighted with these constants
 
 
 def _hermite_sup(t, Q, dQ, gamma):
@@ -372,9 +368,9 @@ def seeded_state(grid, seed):
     return U0 / np.linalg.norm(U0)
 
 
-def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
-                            U0=None, seed=0, dt=None, lam=None):
-    """Measure workable (N*, N, gamma, lam) on one trajectory at the step dt.
+def search_energy_constants(model, lot, grid, U0, eps_start=1e-2, T=1.0, gamma=1.0,
+                            dt=None, lam=None):
+    """Measure workable (N*, N, gamma, lam) on the trajectory of U0 at the step dt.
 
     dt is the caller's evolve step (None: the CFL step), and lam the
     caller's energy shift; N* is measured at that lam.  lam=None searches
@@ -384,8 +380,9 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
     of t (dQ/dt / Q - gamma) over the run, clamped at 0, with the exact
     dQ/dt of the energy identity at the samples and the cubic Hermite
     interpolant of (Q, dQ/dt) between them.  The weight exponent N adds a
-    display buffer; only N - N* enters verdicts.  The run's trace comes back
-    weighted with these constants, so a caller at the same step has its
+    display buffer; only N - N* enters verdicts.  Returns the run's
+    EnergyTrace weighted with these constants, so its n_star, n_weight, gamma
+    and lam are the constants, and a caller at the same step has its
     energies and margins without integrating U0 again.  When the run hits a
     growth abort, N* = N = inf and the trace comes back flagged aborted; an
     energy that is not positive (nan included) raises in evolve.
@@ -404,19 +401,11 @@ def search_energy_constants(model, lot, grid, eps_start=1e-2, T=1.0, gamma=1.0,
                 c_sup = max(c_sup, c)
         cfg.lam = 2.0 ** math.ceil(math.log2(4.0 * c_sup)) if c_sup > 0 else 1.0
 
-    if U0 is None:
-        U0 = seeded_state(grid, seed)
     trace, _ = evolve(model, lot, U0, cfg, grid, assembler=asm)
     # no finite exponent bounds a run that blew up
     n_star = (math.inf if trace.aborted
               else max(0.0, _hermite_sup(trace.t, trace.Q, trace.dQ, gamma)))
-    return EnergyConstants(
-        n_star=n_star,
-        n_weight=n_star + 0.25,
-        gamma=gamma,
-        lam=cfg.lam,
-        trace=dataclasses.replace(trace, n_weight=n_star + 0.25, n_star=n_star),
-    )
+    return dataclasses.replace(trace, n_weight=n_star + 0.25, n_star=n_star)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +447,7 @@ def loss_probe(model, lot, grid, cfg: EvolveConfig, k_list):
     _, aborted = _march(asm, U, cfg.eps_start, cfg.T, cfg.step(asm), track)
     if aborted:
         return LossReport(tuple(k_list), tuple(float(v) for v in sup), math.inf, True)
-    jp = np.sqrt(1.0 + (np.asarray(k_list, dtype=float) * grid.base_freq) ** 2)
+    jp = grid.jp_values[np.asarray(k_list) + grid.K]
     slope = float(np.polyfit(np.log(jp), np.log(np.maximum(sup, 1e-300)), 1)[0])
     return LossReport(tuple(k_list), tuple(float(v) for v in sup), slope, False)
 
@@ -716,7 +705,7 @@ def _sweep_row(base, lot, eps, grid, seed):
                            default_condition_grid(model, nt=32, nx=32, nxi=5))
     sym = lower_bound_delta(model, default_condition_grid(model, nt=16, nx=16, nxi=5))
     fp = fp_search(model, np.geomspace(1e-2, model.T, 3), grid)
-    consts = search_energy_constants(model, lot, grid, T=model.T, seed=seed)
+    consts = search_energy_constants(model, lot, grid, U0=seeded_state(grid, seed), T=model.T)
     return SweepRow(
         eps=float(eps),
         delta_best_E=cond.delta_best,
@@ -724,7 +713,7 @@ def _sweep_row(base, lot, eps, grid, seed):
         fp_delta=fp.best[0] if fp.best else 0.0,
         fp_C=fp.best[1] if fp.best else math.inf,
         n_star=consts.n_star,
-        min_margin=-math.inf if consts.trace.aborted else energy_margins(consts.trace).min_margin,
+        min_margin=-math.inf if consts.aborted else energy_margins(consts).min_margin,
     )
 
 
@@ -748,5 +737,5 @@ def regularize_sweep(base: HyperbolicModel, lot, eps_list, grid_k=8, factor=4.0,
             return SweepReport(tuple(rows), math.inf, False)
         worst = max(worst, float(np.max(vals) / np.min(vals)))
     passed = (worst <= factor and all(math.isfinite(r.fp_C) for r in rows)
-              and all(r.min_margin >= -0.05 for r in rows))
+              and all(r.min_margin >= -MARGIN_TOL for r in rows))
     return SweepReport(tuple(rows), worst, passed)

@@ -24,6 +24,8 @@ from .symbols import (
     X,
     ZERO,
     call,
+    differentiate,
+    is_zero,
     parse_symbol,
 )
 
@@ -152,18 +154,28 @@ def _grid_values(name, expr, t, x, xi):
     return vals
 
 
+def discriminant(a, b):
+    """Delta = 4 a^3 - 27 b^2, the discriminant of tau^3 - a tau jp^2 - b jp^3 over jp^6.
+
+    Delta >= 0 is hyperbolicity; the conditions (H) and (E) (cubic module)
+    bound it below.
+    """
+    return 4.0 * a**3 - 27.0 * b**2
+
+
 def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, name="custom"):
     """Validate and build a model from coefficient expressions.
 
-    alpha must not depend on t; on default_validation_grid alpha, atilde and b
-    must be finite, atilde >= c0 and alpha >= 0, and the discriminant
-    4 a^3 - 27 b^2 must stay above -tol_val * (1 + |a|^3) with tol_val =
-    1e-10.  Violations raise with a witness point.
+    alpha must not depend on t: its t-derivative must be the constant 0
+    (symbols.is_zero).  On default_validation_grid alpha, atilde and b must
+    be finite, atilde >= c0 and alpha >= 0, and the discriminant must stay
+    above -tol_val * (1 + |a|^3) with tol_val = 1e-10.  Violations raise
+    with a witness point.
     """
     alpha = _coerce(alpha)
     atilde = _coerce(atilde)
     b = _coerce(b)
-    if "t" in alpha.variables():
+    if not is_zero(differentiate(alpha, "t")):
         raise ModelError("alpha must be a function of (x, xi) only")
     if not c0 > 0:
         raise ModelError("c0 must be positive")
@@ -195,7 +207,7 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, name="cu
 
     a_vals = (tg + alpha_vals) * atilde_vals
     b_vals = _grid_values("b", b, t_vals, x_vals, xi_vals)
-    delta = 4.0 * a_vals**3 - 27.0 * b_vals**2
+    delta = discriminant(a_vals, b_vals)
     tol = 1e-10
     margin = delta + tol * (1.0 + np.abs(a_vals) ** 3)
     min_margin = float(np.min(margin))

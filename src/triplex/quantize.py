@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import Expr, Const, differentiate, x_degree
+from .symbols import differentiate, is_zero, x_degree
 from .symmetrizer import J_entries, S_entries
 
 __all__ = [
@@ -117,17 +117,6 @@ class FourierGrid:
     @property
     def jp_values(self):
         return np.sqrt(1.0 + self.freqs**2)
-
-    def coefficients(self, expr_or_values, t=0.0):
-        """Fourier coefficients (modes -K..K) of a function of x."""
-        if isinstance(expr_or_values, Expr):
-            vals = np.broadcast_to(
-                np.asarray(expr_or_values.evaluate(t, self.nodes, 0.0), dtype=float), (self.N,)
-            )
-        else:
-            vals = np.asarray(expr_or_values)
-        coef = np.fft.fft(vals) / self.N
-        return np.roll(coef, self.K)  # index 0 -> mode -K
 
 
 @dataclass
@@ -226,11 +215,6 @@ def block_weyl(entries, t, grid):
 
 # ---------------------------------------------------------------------------
 # Taylor stacks in t
-
-def is_zero(expr):
-    """True for a symbol that is literally the constant 0 (its block is skipped)."""
-    return isinstance(expr, Const) and expr.value == 0.0
-
 
 def _t_taylor(expr, cap=6):
     """Taylor coefficient expressions in t, or None when not a polynomial of degree <= cap."""
@@ -622,9 +606,9 @@ FRIEDRICHS_PPU = 66
 
 
 def friedrichs_part(entries, t, grid):
-    """Quantized Friedrichs part of a (possibly matrix) symbol.
+    """Quantized Friedrichs part of a matrix symbol.
 
-    entries is a nested list of symbol expressions, square.  The zeta
+    entries is a square nested list of symbol expressions.  The zeta
     integral uses one composite Gauss-Legendre rule with FRIEDRICHS_PPU
     points per unit interval over the union of window supports.  No
     refinement loop is needed: the rule's weights are positive, so a
@@ -632,8 +616,6 @@ def friedrichs_part(entries, t, grid):
     max(0, -min eig) of 0 at every rule size, and a defect-driven loop
     would never refine.  Tests pin the rule against one twice as fine.
     """
-    if isinstance(entries, Expr):
-        entries = [[entries]]
     mat = _friedrichs_matrix(entries, t, grid, default_bump(), FRIEDRICHS_PPU)
     return BlockOp(mat, blocks=len(entries))
 
@@ -674,9 +656,8 @@ def top_eigenvalue(op, n):
     return top
 
 
-def operator_norm(matrix):
-    """Largest singular value: sqrt of the top eigenvalue of M^H M, by Lanczos."""
-    m = matrix.matrix if isinstance(matrix, BlockOp) else np.asarray(matrix)
+def operator_norm(m):
+    """Largest singular value of an array: sqrt of the top eigenvalue of M^H M, by Lanczos."""
     gram = lambda v: ((m @ v).conj() @ m).conj()  # M^H M v without forming M^H
     return math.sqrt(max(top_eigenvalue(gram, m.shape[1]), 0.0))
 

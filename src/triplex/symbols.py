@@ -55,6 +55,7 @@ __all__ = [
     "call",
     "parse_symbol",
     "differentiate",
+    "is_zero",
     "x_degree",
 ]
 
@@ -128,9 +129,6 @@ class Expr:
     def diff(self, var):
         raise NotImplementedError
 
-    def variables(self):
-        raise NotImplementedError
-
     def __str__(self):
         raise NotImplementedError
 
@@ -152,9 +150,6 @@ class Const(Expr):
 
     def diff(self, var):
         return ZERO
-
-    def variables(self):
-        return frozenset()
 
     def __str__(self):
         if self.value < 0:
@@ -178,9 +173,6 @@ class Var(Expr):
 
     def diff(self, var):
         return ONE if self.name == var else ZERO
-
-    def variables(self):
-        return frozenset((self.name,))
 
     def __str__(self):
         return self.name
@@ -206,9 +198,6 @@ class Add(Expr):
     def diff(self, var):
         return add(self.left.diff(var), self.right.diff(var))
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
     def __str__(self):
         return f"{_paren(self.left, 1)} + {_paren(self.right, 1, tight=True)}"
 
@@ -225,9 +214,6 @@ class Sub(Expr):
 
     def diff(self, var):
         return sub(self.left.diff(var), self.right.diff(var))
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
 
     def __str__(self):
         return f"{_paren(self.left, 1)} - {_paren(self.right, 1, tight=True)}"
@@ -248,9 +234,6 @@ class Mul(Expr):
             mul(self.left.diff(var), self.right),
             mul(self.left, self.right.diff(var)),
         )
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
 
     def __str__(self):
         return f"{_paren(self.left, 2)} * {_paren(self.right, 2, tight=True)}"
@@ -279,9 +262,6 @@ class Div(Expr):
             sub(mul(self.left.diff(var), self.right), mul(self.left, self.right.diff(var))),
             mul(self.right, self.right),
         )
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
 
     def __str__(self):
         return f"{_paren(self.left, 2)} / {_paren(self.right, 2, tight=True)}"
@@ -312,9 +292,6 @@ class Pow(Expr):
             mul(Const(float(self.exponent)), pow_(self.base, self.exponent - 1)),
             self.base.diff(var),
         )
-
-    def variables(self):
-        return self.base.variables()
 
     def __str__(self):
         return f"{_paren(self.base, 3, tight=True)}^{self.exponent}"
@@ -360,9 +337,6 @@ class Call(Expr):
             return div(du, mul(Const(2.0), self))
         # d/du jp(u) = u / jp(u)
         return div(mul(self.arg, du), self)
-
-    def variables(self):
-        return self.arg.variables()
 
     def __str__(self):
         return f"{self.fn}({self.arg})"
@@ -471,6 +445,16 @@ def differentiate(expr, var, order=1):
     for _ in range(order):
         out = out.diff(var)
     return out
+
+
+def is_zero(expr):
+    """True for a symbol that is literally the constant 0.
+
+    The simplifying constructors fold a derivative that cancels on the tree,
+    such as d/dt (t - t), to it, so a symbol whose derivative in a variable
+    is_zero does not depend on that variable.
+    """
+    return isinstance(expr, Const) and expr.value == 0.0
 
 
 def x_degree(expr):

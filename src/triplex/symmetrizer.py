@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HyperbolicModel
+from .models import HyperbolicModel, discriminant
 from .symbols import Const, Expr
 
 
@@ -82,13 +82,13 @@ def identity_defects(t, alpha, a, b):
 
     Over points given as equal-shape arrays (or scalars): max |SA - (SA)^T|
     over 1 + a^2 + b^2 + (t + alpha)^2, and max |det S - Delta| over
-    1 + |a|^3 + b^2, with Delta = 4 a^3 - 27 b^2.
+    1 + |a|^3 + b^2, with Delta = models.discriminant(a, b).
     """
     S = matrix_S(a, b)
     SA = S @ matrix_A(a, b)
     scale = 1.0 + a**2 + b**2 + (t + alpha) ** 2
     asym = np.max(np.abs(SA - np.swapaxes(SA, -1, -2)), axis=(-1, -2)) / scale
-    det = np.abs(np.linalg.det(S) - (4.0 * a**3 - 27.0 * b**2)) / (1.0 + np.abs(a) ** 3 + b**2)
+    det = np.abs(np.linalg.det(S) - discriminant(a, b)) / (1.0 + np.abs(a) ** 3 + b**2)
     return float(np.max(asym)), float(np.max(det))
 
 

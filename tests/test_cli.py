@@ -324,6 +324,14 @@ def test_bad_model_file_numbers_are_usage_errors(capsys, tmp_path):
             assert captured.out == "" and match in captured.err
 
 
+def test_a_model_file_with_alpha_depending_on_t_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "alpha_t.model"
+    path.write_text("alpha = t\n")
+    assert run(["analyze", "--model", str(path), "--nt", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alpha must be a function of (x, xi) only" in captured.err
+
+
 @pytest.mark.parametrize("text, argv", [
     ("alpha = 1e308 + 1e308", ["conditions"]),
     ("alpha = (1 - cos(x))^2\nb10 = 1e308 + 1e308", ["evolve", "--grid-k", "4"]),
@@ -417,3 +425,13 @@ def test_parametrized_model_strings(capsys):
     capsys.readouterr()
     assert run(["analyze", "--model", "g_E:oops", "--nt", "3"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("source, item", [("g_E:eps=abc", "'eps=abc'"),
+                                          ("g_E:T=2,eps=", "'eps='"),
+                                          ("g_E:eps", "'eps'")])
+def test_a_model_parameter_that_is_not_a_number_is_named(capsys, source, item):
+    assert run(["analyze", "--model", source, "--nt", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad model parameter {item} (expected k=v with v a number)" in captured.err

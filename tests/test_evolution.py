@@ -189,7 +189,7 @@ def test_exact_n_star_agrees_with_the_fine_step_finite_difference(name, K, seed)
     lot = LowerOrderTerms.random_trig(seed)
     U0 = seeded_state(grid, seed + 100)
     consts = search_energy_constants(model, lot, grid, U0=U0)
-    assert energy_margins(consts.trace).min_margin >= 0.0
+    assert energy_margins(consts).min_margin >= 0.0
     ref = _finite_difference_n_star(model, lot, grid, U0, consts.lam)
     assert abs(consts.n_star - ref) <= 1e-3 * ref
 
@@ -203,13 +203,11 @@ def test_constants_come_with_their_own_run():
     cfg = EvolveConfig(n_weight=consts.n_weight, n_star=consts.n_star, gamma=consts.gamma,
                        lam=consts.lam)
     trace, _ = evolve(model, lot, U0, cfg, grid)
-    run = consts.trace
-    assert (run.n_weight, run.n_star, run.lam) == (consts.n_weight, consts.n_star, consts.lam)
     for key in ("t", "Q", "dQ", "norm"):
-        assert np.array_equal(getattr(run, key), getattr(trace, key))
-    assert np.allclose(run.E, trace.E, rtol=1e-15, atol=0.0)
+        assert np.array_equal(getattr(consts, key), getattr(trace, key))
+    assert np.allclose(consts.E, trace.E, rtol=1e-15, atol=0.0)
     assert consts.n_star == pytest.approx(
-        max(0.0, float(np.max(run.t * (run.dQ / run.Q - consts.gamma)))), abs=1e-3)
+        max(0.0, float(np.max(consts.t * (consts.dQ / consts.Q - consts.gamma)))), abs=1e-3)
 
 
 def test_a_sweep_row_integrates_its_state_once(monkeypatch):
@@ -241,7 +239,7 @@ def test_a_run_that_blows_up_gives_unbounded_constants(monkeypatch):
     monkeypatch.setattr(evolution, "GROWTH_ABORT", 0.5)
     grid = FourierGrid(6)
     consts = search_energy_constants(gallery("g_E"), None, grid, U0=seeded_state(grid, 2))
-    assert consts.trace.aborted and len(consts.trace.t) == 1
+    assert consts.aborted and len(consts.t) == 1
     assert consts.n_star == consts.n_weight == math.inf
     rep = regularize_sweep(gallery("g_E"), None, (1e-1,), grid_k=6, seed=0)
     assert rep.rows[0].min_margin == -math.inf and rep.rows[0].n_star == math.inf
@@ -632,7 +630,8 @@ def test_energy_shift_matches_the_eigensolve_loop(name, m, K, eps_start, T):
     # m = 7 and 8 put g_ex22 past the Taylor cap, on the per-t path
     model = gallery(name, m=m) if name == "g_ex22" else gallery(name)
     grid = FourierGrid(K)
-    consts = search_energy_constants(model, None, grid, eps_start=eps_start, T=T)
+    consts = search_energy_constants(model, None, grid, U0=seeded_state(grid, 0),
+                                     eps_start=eps_start, T=T)
     assert consts.lam == _lam_by_eigensolves(model, grid, eps_start, T)
 
 
@@ -645,7 +644,8 @@ def test_energy_shift_needs_no_eigensolve_on_the_gallery(monkeypatch, K):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
     for name in GALLERY:
         grid = FourierGrid(K, gallery(name).period)
-        consts = search_energy_constants(gallery(name), LOTS["trig"], grid)
+        consts = search_energy_constants(gallery(name), LOTS["trig"], grid,
+                                         U0=seeded_state(grid, 0))
         assert consts.lam == 1.0
     assert calls == []
 
@@ -749,14 +749,14 @@ def test_integration_past_the_model_horizon_is_rejected():
     with pytest.raises(ValueError, match="horizon"):
         loss_probe(model, None, grid, cfg, (1, 2))
     with pytest.raises(ValueError, match="horizon"):
-        search_energy_constants(model, None, grid, T=3.0)
+        search_energy_constants(model, None, grid, U0=seeded_state(grid, 19), T=3.0)
     with pytest.raises(ValueError, match="eps_start < T"):
         evolve(model, None, seeded_state(grid, 19), EvolveConfig(T=math.nan), grid)
     with pytest.raises(ValueError, match="finite"):
-        search_energy_constants(model, None, grid, T=math.inf)
+        search_energy_constants(model, None, grid, U0=seeded_state(grid, 19), T=math.inf)
     for bad in (dict(eps_start=math.nan), dict(dt=math.nan), dict(dt=math.inf)):
         with pytest.raises(ValueError, match="eps_start|dt"):
-            search_energy_constants(model, None, grid, **bad)
+            search_energy_constants(model, None, grid, U0=seeded_state(grid, 19), **bad)
     longer = gallery("g_E", T=2.0)
     trace, _ = evolve(longer, None, seeded_state(grid, 19), EvolveConfig(T=1.5), grid)
     assert trace.t[-1] == pytest.approx(1.5)

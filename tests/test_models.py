@@ -81,6 +81,18 @@ def test_build_model_validates_hyperbolicity():
         build_model("0", b="1", name="broken")
 
 
+@pytest.mark.parametrize("alpha", ["t", "sin(x) + t", "(1 - cos(x))^2 * (1 + t)"])
+def test_build_model_rejects_an_alpha_that_depends_on_t(alpha):
+    with pytest.raises(ModelError, match="alpha must be a function of"):
+        build_model(alpha)
+
+
+def test_build_model_accepts_an_alpha_whose_t_derivative_folds_to_zero():
+    # d/dt (t - t) folds to the constant 0, so this alpha does not depend on t
+    model = build_model("t - t")
+    assert model.alpha.evaluate(0.7, 1.0, 1.0) == 0.0
+
+
 def test_with_alpha_replaces_profile():
     model = gallery("g_zero_b")
     shifted = model.with_alpha(1.0)

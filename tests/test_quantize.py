@@ -29,7 +29,7 @@ from triplex.quantize import (
     operator_norm,
     sgarding_residual,
 )
-from triplex.symbols import Const, T, X, XI, call, differentiate, parse_symbol
+from triplex.symbols import Const, Expr, T, X, XI, call, differentiate, parse_symbol
 from triplex.symmetrizer import J_entries, S_symbols
 
 
@@ -44,12 +44,23 @@ def test_grid_mode_layout():
         FourierGrid(129)
 
 
+def _coefficients(grid, expr_or_values):
+    """Reference Fourier coefficients (modes -K..K, index 0 is mode -K) of a function of x,
+    given as a symbol (at t = 0) or as its values at grid.nodes."""
+    if isinstance(expr_or_values, Expr):
+        vals = np.broadcast_to(
+            np.asarray(expr_or_values.evaluate(0.0, grid.nodes, 0.0), dtype=float), (grid.N,))
+    else:
+        vals = np.asarray(expr_or_values)
+    return np.roll(np.fft.fft(vals) / grid.N, grid.K)
+
+
 def test_coefficients_invert_values():
     grid = FourierGrid(8)
     rng = np.random.default_rng(0)
     coef = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     values = np.fft.ifft(np.roll(coef, -grid.K)) * grid.N  # node values, mode -K first
-    back = grid.coefficients(values)
+    back = _coefficients(grid, values)
     assert np.allclose(back, coef, atol=1e-12)
 
 
@@ -73,7 +84,7 @@ def test_weyl_of_pure_multiplication_matches_convolution():
     assert out[7] == pytest.approx(0.25, abs=1e-12)
     assert out[9] == pytest.approx(0.25, abs=1e-12)
     # the finite section of the convolution by the Fourier coefficients agrees
-    coef = grid.coefficients(expr)
+    coef = _coefficients(grid, expr)
     conv = np.zeros((grid.N, grid.N), dtype=complex)
     for row in range(grid.N):
         for col in range(grid.N):
@@ -228,7 +239,7 @@ def test_bump_is_normalized_and_supported():
 def test_friedrichs_part_of_nonnegative_scalar_is_psd():
     grid = FourierGrid(8)
     sym = parse_symbol("(1 - cos(x))^2")  # vanishes to second order at 0
-    q = friedrichs_part(sym, 0.5, grid)
+    q = friedrichs_part([[sym]], 0.5, grid)
     herm = 0.5 * (q.matrix + q.matrix.conj().T)
     eigs = np.linalg.eigvalsh(herm)
     assert eigs[0] >= -1e-10 * (1.0 + eigs[-1])
@@ -236,7 +247,7 @@ def test_friedrichs_part_of_nonnegative_scalar_is_psd():
 
 def test_friedrichs_part_of_positive_constant_stays_near_it():
     grid = FourierGrid(6)
-    q = friedrichs_part(Const(2.0), 0.5, grid)
+    q = friedrichs_part([[Const(2.0)]], 0.5, grid)
     eigs = np.linalg.eigvalsh(0.5 * (q.matrix + q.matrix.conj().T))
     assert eigs[0] >= 1.0  # averaging a constant keeps a positive floor
 
