@@ -141,7 +141,8 @@ def _cmd_analyze(args):
     t_vals = np.linspace(args.t0, args.t1, args.nt)
     x_vals = np.linspace(0.0, model.period, 64, endpoint=False)
     xi_vals = np.logspace(0.0, math.log10(64.0), 9)
-    _, _, a, b, _ = grid_fields(model, Grid3(t_vals, x_vals, xi_vals))
+    grid = Grid3(t_vals, x_vals, xi_vals)
+    _, _, a, b, _ = grid_fields(model, grid)
     delta = discriminant(a, b)
     idx = np.unravel_index(int(np.argmin(delta)), delta.shape)
     hyperbolic = bool(delta[idx] >= -1e-12)
@@ -165,10 +166,11 @@ def _cmd_analyze(args):
     }
 
     def rows():
+        cols = [np.broadcast_to(f, grid.shape()) for f in (a, b, delta)]
         for i, t in enumerate(t_vals):
             for j, x in enumerate(x_vals):
                 for k, xi in enumerate(xi_vals):
-                    yield (t, x, xi, a[i, j, k], b[i, j, k], delta[i, j, k])
+                    yield (t, x, xi) + tuple(f[i, j, k] for f in cols)
 
     _emit(args, payload,
           [("analyze_sweep.csv",
@@ -238,8 +240,9 @@ def _cmd_symmetrizer(args):
         S = matrix_S(a, b)
         mineig = np.linalg.eigvalsh(S)[..., 0]
         local = np.maximum(pointwise_delta(S, a, t), 0.0)
-        rows = ((grid.t_vals[i], grid.x_vals[j], grid.xi_vals[k],
-                 a[i, j, k], b[i, j, k], mineig[i, j, k], local[i, j, k])
+        cols = [np.broadcast_to(f, grid.shape()) for f in (a, b, mineig, local)]
+        rows = ((grid.t_vals[i], grid.x_vals[j], grid.xi_vals[k])
+                + tuple(f[i, j, k] for f in cols)
                 for i in range(len(grid.t_vals))
                 for j in range(len(grid.x_vals))
                 for k in range(len(grid.xi_vals)))

@@ -196,7 +196,8 @@ def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     )
     extras = {}
     if which == "E":
-        # diagnostic only: ratio against t * d0 with d0 = 3 a jp^2
+        # diagnostic only: ratio against t * d0 with d0 = 3 a jp^2, full width
+        # since jp^2 varies along xi
         d0 = 3.0 * a * jp2
         extras["min_delta_over_t_d0"] = float(np.min(delta_field / (tg * d0)))
     delta_best = max(0.0, min_ratio)
@@ -225,9 +226,10 @@ def check_beta1_bound(model: HyperbolicModel, grid=None, eps=0.1):
         grid = default_condition_grid(model)
     xg = grid.x_vals[:, None]
     xig = grid.xi_vals[None, :]
-    shape = (len(grid.x_vals), len(grid.xi_vals))
-    alpha = np.broadcast_to(model.alpha.evaluate(0.0, xg, xig), shape)
-    beta1 = np.broadcast_to(differentiate(model.b, "t", 1).evaluate(0.0, xg, xig), shape)
+    # at their broadcast shape on the (x, xi) grid, like grid_fields
+    alpha, beta1 = np.broadcast_arrays(
+        np.atleast_2d(model.alpha.evaluate(0.0, xg, xig)),
+        differentiate(model.b, "t", 1).evaluate(0.0, xg, xig))
     sqrt_alpha = np.sqrt(np.maximum(alpha, 0.0))
     ratio = np.where(
         sqrt_alpha > 0,
@@ -248,7 +250,7 @@ def check_beta1_bound(model: HyperbolicModel, grid=None, eps=0.1):
         extras["cross_check_E_delta_best"] = cross.delta_best
         extras["cross_check_E_holds"] = bool(cross.delta_best > 0)
     flat = int(np.argmax(ratio))
-    idx = np.unravel_index(flat, shape)
+    idx = np.unravel_index(flat, ratio.shape)
     witness = (0.0, float(grid.x_vals[idx[0]]), float(grid.xi_vals[idx[1]]))
     return ConditionReport(
         condition="beta1",
@@ -275,24 +277,20 @@ def glaeser_bounds(model: HyperbolicModel, grid=None):
 
     Returns the suprema over grid points with a > 1e-8 of
     |d_t b| / sqrt(a), max(|d_x b|, |d_xi b|) / a and the second
-    (x, xi)-derivative magnitudes / sqrt(a).
+    (x, xi)-derivative magnitudes / sqrt(a).  The fields are compared at
+    their common broadcast shape; points_used counts every (t, x, xi) point.
     """
     if grid is None:
         grid = default_condition_grid(model)
     tg, _, a, _, _ = grid_fields(model, grid)
-    shape = a.shape
     xg = grid.x_vals[None, :, None]
     xig = grid.xi_vals[None, None, :]
-
-    def ev(expr):
-        return np.broadcast_to(expr.evaluate(tg, xg, xig), shape)
-
-    bt = ev(differentiate(model.b, "t", 1))
-    bx = ev(differentiate(model.b, "x", 1))
-    bxi = ev(differentiate(model.b, "xi", 1))
-    bxx = ev(differentiate(model.b, "x", 2))
-    bxxi = ev(differentiate(differentiate(model.b, "x", 1), "xi", 1))
-    bxixi = ev(differentiate(model.b, "xi", 2))
+    b_x = differentiate(model.b, "x", 1)
+    a, bt, bx, bxi, bxx, bxxi, bxixi = np.broadcast_arrays(a, *(
+        expr.evaluate(tg, xg, xig)
+        for expr in (differentiate(model.b, "t", 1), b_x, differentiate(model.b, "xi", 1),
+                     differentiate(model.b, "x", 2), differentiate(b_x, "xi", 1),
+                     differentiate(model.b, "xi", 2))))
 
     mask = a > 1e-8
     sqrt_a = np.sqrt(a[mask])
@@ -305,5 +303,5 @@ def glaeser_bounds(model: HyperbolicModel, grid=None):
         sup_bt_over_sqrt_a=sup_bt,
         sup_first_over_a=sup_first,
         sup_second_over_sqrt_a=sup_second,
-        points_used=int(mask.sum()),
+        points_used=int(mask.sum()) * (math.prod(grid.shape()) // mask.size),
     )

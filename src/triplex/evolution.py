@@ -575,8 +575,7 @@ def extend_model(local: HyperbolicModel, window, delta_floor=1e-8):
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
 
-    nxi = 9
-    xi_vals = np.geomspace(1.0, 64.0, nxi)
+    xi_vals = np.geomspace(1.0, 64.0, 9)
     local_grid = Grid3(
         t_vals=np.linspace(1e-3 * local.T, local.T, 48),
         x_vals=np.linspace(lo, hi, 48),
@@ -595,14 +594,9 @@ def extend_model(local: HyperbolicModel, window, delta_floor=1e-8):
     b_cut = chi1 * local.b
     tgrid = np.linspace(0.0, local.T, 33)
     xgrid = np.linspace(0.0, local.period, 256, endpoint=False)
-    vals = np.abs(
-        np.broadcast_to(
-            b_cut.evaluate(tgrid[:, None, None], xgrid[None, :, None],
-                           xi_vals[None, None, :]),
-            (33, 256, nxi),
-        )
-    )
-    sup_b = float(np.max(vals))
+    # |chi1 b| at its broadcast shape: a b without xi gives 33 x 256 values, not 33 x 256 x 9
+    sup_b = float(np.max(np.abs(b_cut.evaluate(tgrid[:, None, None], xgrid[None, :, None],
+                                               xi_vals[None, None, :]))))
     M = 1.0
     while 4.0 * M**3 * local.c0**3 < 27.0 * sup_b**2:
         M *= 2.0

@@ -143,9 +143,12 @@ def default_validation_grid(T=1.0, period=TWO_PI):
 
 
 def _grid_values(name, expr, t, x, xi):
-    """expr on the grid t x x x xi as a full array; ModelError where it is inf or nan."""
-    vals = np.broadcast_to(expr.evaluate(t[:, None, None], x[None, :, None], xi[None, None, :]),
-                           (len(t), len(x), len(xi)))
+    """expr on the grid t x x x xi at its broadcast shape; ModelError where it is inf or nan.
+
+    The array has one axis per grid axis, of length 1 along each axis that
+    expr does not vary on, so no value is computed twice.
+    """
+    vals = np.atleast_3d(expr.evaluate(t[:, None, None], x[None, :, None], xi[None, None, :]))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         i, j, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -170,7 +173,8 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, name="cu
     (symbols.is_zero).  On default_validation_grid alpha, atilde and b must
     be finite, atilde >= c0 and alpha >= 0, and the discriminant must stay
     above -tol_val * (1 + |a|^3) with tol_val = 1e-10.  Violations raise
-    with a witness point.
+    with a witness point, the first in C order on the full grid: each field
+    is at its broadcast shape (_grid_values), where a collapsed axis has index 0.
     """
     alpha = _coerce(alpha)
     atilde = _coerce(atilde)
@@ -195,11 +199,10 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, name="cu
             f"alpha = {min_alpha:.3e} < 0 at x = {x_vals[idx[1]]:.6g}, xi = {xi_vals[idx[2]]:.6g}"
         )
 
-    shape = (len(t_vals), len(x_vals), len(xi_vals))
     atilde_vals = _grid_values("atilde", atilde, t_vals, x_vals, xi_vals)
     min_atilde = float(np.min(atilde_vals))
     if min_atilde < c0 - 1e-12 * (1.0 + c0):
-        idx = np.unravel_index(np.argmin(atilde_vals), shape)
+        idx = np.unravel_index(np.argmin(atilde_vals), atilde_vals.shape)
         raise PositivityViolation(
             f"atilde = {min_atilde:.3e} < c0 = {c0} at "
             f"t = {t_vals[idx[0]]:.6g}, x = {x_vals[idx[1]]:.6g}, xi = {xi_vals[idx[2]]:.6g}"
@@ -212,7 +215,7 @@ def build_model(alpha, atilde=1.0, b=0.0, c0=1.0, T=1.0, period=TWO_PI, name="cu
     margin = delta + tol * (1.0 + np.abs(a_vals) ** 3)
     min_margin = float(np.min(margin))
     if min_margin < 0:
-        idx = np.unravel_index(np.argmin(margin), shape)
+        idx = np.unravel_index(np.argmin(margin), margin.shape)
         witness = (float(t_vals[idx[0]]), float(x_vals[idx[1]]), float(xi_vals[idx[2]]))
         raise HyperbolicityViolation(
             f"discriminant {float(delta[idx]):.6e} < 0 beyond tolerance at "

@@ -93,19 +93,21 @@ def identity_defects(t, alpha, a, b):
 
 
 def grid_fields(model, grid):
-    """t, alpha, a, b and jp^2 on a (t, x, xi) grid.
+    """t, alpha, a and b on a (t, x, xi) grid at their broadcast shape, and jp^2.
 
-    alpha, a and b have shape (nt, nx, nxi); t is (nt, 1, 1) and jp^2 is
+    alpha, a and b share one shape, the broadcast of their own shapes with
+    (nt, nx, 1): the xi axis has length nxi only when a coefficient depends
+    on xi, so pointwise work is done once per distinct point.  Broadcast to
+    grid.shape() to list every point.  t is (nt, 1, 1) and jp^2 is
     (1, 1, nxi), which broadcast against them.
     """
     tg = grid.t_vals[:, None, None]
     xg = grid.x_vals[None, :, None]
     xig = grid.xi_vals[None, None, :]
-    shape = grid.shape()
-    alpha = np.broadcast_to(model.alpha.evaluate(0.0, xg, xig), shape)
-    a = np.broadcast_to((tg + alpha) * model.atilde.evaluate(tg, xg, xig), shape)
-    b = np.broadcast_to(model.b.evaluate(tg, xg, xig), shape)
-    return tg, alpha, a, b, 1.0 + xig**2
+    alpha, atilde, b, _ = np.broadcast_arrays(
+        model.alpha.evaluate(0.0, xg, xig), model.atilde.evaluate(tg, xg, xig),
+        model.b.evaluate(tg, xg, xig), np.empty((len(grid.t_vals), len(grid.x_vals), 1)))
+    return tg, alpha, (tg + alpha) * atilde, b, 1.0 + xig**2
 
 
 @dataclass(frozen=True)

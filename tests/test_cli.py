@@ -56,6 +56,7 @@ def test_analyze_renders_its_csv_only_under_out(capsys, tmp_path, monkeypatch):
     grid = Grid3(np.linspace(1e-3, 1.0, 3), np.linspace(0.0, model.period, 64, endpoint=False),
                  np.logspace(0.0, math.log10(64.0), 9))
     _, _, a, b, _ = grid_fields(model, grid)
+    a, b = (np.broadcast_to(f, grid.shape()) for f in (a, b))  # every (t, x, xi) point
     delta = 4.0 * a**3 - 27.0 * b**2
     rows = ((t, x, xi, a[i, j, k], b[i, j, k], delta[i, j, k])
             for i, t in enumerate(grid.t_vals) for j, x in enumerate(grid.x_vals)
@@ -90,8 +91,9 @@ def test_symmetrizer_writes_pointwise_csv(capsys, tmp_path):
     assert code == 0
     assert payload["identities_hold"] is True
     assert payload["delta_sym"] > 0
-    header = (out / "symmetrizer_points.csv").read_text().splitlines()[0]
-    assert header == "t,x,xi,a,b,mineig_S,delta_sym_local"
+    lines = (out / "symmetrizer_points.csv").read_text().splitlines()
+    assert lines[0] == "t,x,xi,a,b,mineig_S,delta_sym_local"
+    assert len(lines) == 1 + 16 * 16 * 5  # one row per (t, x, xi) point
 
 
 def test_quantize_reports_positivity(capsys, tmp_path):
