@@ -1,11 +1,12 @@
 """Acceptance gate: eleven numbered checks with frozen tolerances.
 
-Each check returns a CriterionResult whose details dict carries the numeric
-margins behind the verdict (the JSON report never states a verdict without
-its number).  quick mode shrinks sample counts and case matrices but never
-loosens a tolerance.  All randomness is seeded, and every reported value is
-deterministic for a fixed seed, so repeated runs produce byte-identical
-report files.
+Each check returns (passed, details), where the details dict carries the
+numeric margins behind the verdict (the JSON report never states a verdict
+without its number); run_all numbers the checks in order and names each
+after its function.  quick mode shrinks sample counts and case matrices but
+never loosens a tolerance.  All randomness is seeded, and every reported
+value is deterministic for a fixed seed, so repeated runs produce
+byte-identical report files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reporting
-from .cubic import Grid3, check_condition, discriminants, root_oracle_array, roots_trig_array
+from .cubic import (Grid3, check_condition, default_condition_grid, discriminants,
+                    root_oracle_array, roots_trig_array)
 from .evolution import (
     MARGIN_TOL,
     Assembler,
@@ -50,17 +52,11 @@ class CriterionResult:
     name: str
     passed: bool
     details: dict
-    elapsed: float
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
         summary = self.details.get("summary", "")
         return f"{status} {self.index:2d} {self.name}: {summary}"
-
-
-def _timed(index, name, passed, details, t0):
-    return CriterionResult(index=index, name=name, passed=bool(passed),
-                           details=details, elapsed=time.perf_counter() - t0)
 
 
 def _model_points(model, rng, n):
@@ -75,7 +71,6 @@ def _model_points(model, rng, n):
 
 def criterion_algebraic_identities(quick=False, seed=0):
     """1: symmetrizer products, determinant and discriminant identities."""
-    t0 = time.perf_counter()
     n = 2000 if quick else 10000
     rng = np.random.default_rng(seed + 101)
     worst = {"asym": 0.0, "det": 0.0, "shift": 0.0, "vdm": 0.0}
@@ -123,14 +118,13 @@ def criterion_algebraic_identities(quick=False, seed=0):
         "summary": f"asym {worst['asym']:.1e}, det {worst['det']:.1e}, "
                    f"disc {max(worst['shift'], worst['vdm']):.1e}",
     }
-    return _timed(1, "algebraic-identities", passed, details, t0)
+    return passed, details
 
 
 def criterion_root_correctness(quick=False, seed=0):
     """2: trig roots against the companion oracle, double roots against
     the exact factorization (the companion eigensolver is the unreliable
     side exactly at a double root)."""
-    t0 = time.perf_counter()
     n = 2000 if quick else 10000
     m = 500 if quick else 2000
     rng = np.random.default_rng(seed + 202)
@@ -164,15 +158,12 @@ def criterion_root_correctness(quick=False, seed=0):
         "triple_zero_max_root": float(zero),
         "summary": f"dev/tol generic {worst_generic:.2e}, double {worst_double:.2e}",
     }
-    return _timed(2, "root-correctness", passed, details, t0)
+    return passed, details
 
 
 def criterion_condition_checkers(quick=False, seed=0):
     """3: pass/fail verdicts and the closed-form degenerate-family constant."""
-    t0 = time.perf_counter()
     kw = {"nt": 32, "nx": 32, "nxi": 9} if quick else {}
-    from .cubic import default_condition_grid
-
     zero_b = gallery("g_zero_b")
     rep_zero = check_condition(zero_b, "E", default_condition_grid(zero_b, **kw))
     bound_zero = 4.0 * zero_b.c0**3 * (1.0 - 1e-6)
@@ -210,12 +201,11 @@ def criterion_condition_checkers(quick=False, seed=0):
         "summary": f"zero_b {rep_zero.delta_best:.3f}, fail-case {rep_ex21.delta_best:.1e}, "
                    f"family rel {rel_pred:.1e}",
     }
-    return _timed(3, "condition-checkers", passed, details, t0)
+    return passed, details
 
 
 def criterion_friedrichs_positivity(quick=False, seed=0):
     """4: the averaged quantization of the symmetrizer stays PSD."""
-    t0 = time.perf_counter()
     Ks = (8, 16) if quick else (8, 16, 32)
     ts = (0.1, 1.0) if quick else (0.1, 0.5, 1.0)
     worst = math.inf
@@ -238,12 +228,11 @@ def criterion_friedrichs_positivity(quick=False, seed=0):
         "worst_case": {"model": worst_case[0], "K": worst_case[1], "t": worst_case[2]},
         "summary": f"worst min eig / norm = {worst:.2e}",
     }
-    return _timed(4, "friedrichs-positivity", passed, details, t0)
+    return passed, details
 
 
 def criterion_sharp_bound_feasibility(quick=False, seed=0):
     """5: one (delta, C) pair works at every t on the log grid."""
-    t0 = time.perf_counter()
     grid = FourierGrid(32)
     t_values = np.geomspace(1e-2, 1.0, 10)
     kwargs = {"deltas": (0.5, 1.0), "Cs": (128.0, 256.0, 512.0, 1024.0)} if quick else {}
@@ -261,7 +250,7 @@ def criterion_sharp_bound_feasibility(quick=False, seed=0):
         f"{k} best {tuple(v['best']) if v['best'] else None}"
         for k, v in details.items() if isinstance(v, dict)
     )
-    return _timed(5, "sharp-bound-feasibility", passed, details, t0)
+    return passed, details
 
 
 def criterion_energy_inequality(quick=False, seed=0):
@@ -272,7 +261,6 @@ def criterion_energy_inequality(quick=False, seed=0):
     or not the inequality is tight (the signed worst margin can sit at a
     strictly positive continuum value and not move under refinement).
     """
-    t0 = time.perf_counter()
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(seed + 606)
     grid = FourierGrid(8 if quick else 16)
@@ -287,8 +275,7 @@ def criterion_energy_inequality(quick=False, seed=0):
                            gamma=consts.gamma, n_weight=n_run, n_star=n_run)
         trace, _ = evolve(model, lot, U0, cfg, grid)
         if trace.aborted:
-            return _timed(6, "energy-inequality", False,
-                          {"verdict": "unbounded", "summary": "run aborted"}, t0)
+            return False, {"verdict": "unbounded", "summary": "run aborted"}
         reports[ds] = energy_margins(trace)
 
     dev1 = margin_deviation(reports[1.0], reports[0.125])
@@ -308,7 +295,7 @@ def criterion_energy_inequality(quick=False, seed=0):
         "summary": f"min margin {reports[1.0].min_margin:.2e}, "
                    f"error {dev1:.2e} -> {dev2:.2e} (x{improvement:.1f})",
     }
-    return _timed(6, "energy-inequality", passed, details, t0)
+    return passed, details
 
 
 def criterion_cutoff_scalings(quick=False, seed=0):
@@ -320,7 +307,6 @@ def criterion_cutoff_scalings(quick=False, seed=0):
     band, so nu^-1 |R_nu| grows like 1/nu instead of staying bounded.  The
     check is reported as measured.
     """
-    t0 = time.perf_counter()
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(seed + 707)
     grid = FourierGrid(128)
@@ -341,12 +327,11 @@ def criterion_cutoff_scalings(quick=False, seed=0):
         "commutator_spread": s_comm,
         "summary": f"lowpass spread {s_low:.2f}, commutator spread {s_comm:.2f}",
     }
-    return _timed(7, "cutoff-scalings", passed, details, t0)
+    return passed, details
 
 
 def criterion_loss_exponents(quick=False, seed=0):
     """8: fitted derivative-loss exponents are finite and stable."""
-    t0 = time.perf_counter()
     cfg = EvolveConfig(eps_start=1e-2, T=1.0)
     k_list = (4, 8, 16, 32)  # resolved half band of the smaller grid
     model = gallery("g_E")
@@ -376,12 +361,11 @@ def criterion_loss_exponents(quick=False, seed=0):
         "summary": f"exp {e64:.3f} (K double {abs(e128 - e64):.3f}, "
                    f"draw {abs(e64b - e64):.3f}), strict {e_strict:.3f}",
     }
-    return _timed(8, "loss-exponents", passed, details, t0)
+    return passed, details
 
 
 def criterion_taylor_lift(quick=False, seed=0):
     """9: lifted data has vanishing time derivatives against a short evolution."""
-    t0 = time.perf_counter()
     model = gallery("g_E")
     lot = LowerOrderTerms.random_trig(seed + 909)
     grid = FourierGrid(8 if quick else 16)
@@ -432,12 +416,11 @@ def criterion_taylor_lift(quick=False, seed=0):
         "coefficient_norms": [float(np.linalg.norm(c)) for c in lift.coefficients],
         "summary": "max defect/tol = {:.2e}".format(max(ratios.values())),
     }
-    return _timed(9, "taylor-lift", passed, details, t0)
+    return passed, details
 
 
 def criterion_extension_stability(quick=False, seed=0):
     """10: window extension passes globally; constants survive the shift sweep."""
-    t0 = time.perf_counter()
     ext = extend_model(gallery("g_E"), (-1.0, 1.0))
     lot = LowerOrderTerms.random_trig(seed + 1010, amplitude=0.5)
     sweep = regularize_sweep(gallery("g_E"), lot, eps_list=(1e-1, 1e-2, 1e-3),
@@ -453,7 +436,7 @@ def criterion_extension_stability(quick=False, seed=0):
         "summary": f"delta_global {ext.delta_global:.3f}, "
                    f"sweep within x{sweep.stable_within:.2f}",
     }
-    return _timed(10, "extension-stability", passed, details, t0)
+    return passed, details
 
 
 def _bundle(seed):
@@ -482,7 +465,6 @@ def _bundle(seed):
 
 def criterion_determinism(quick=False, seed=0):
     """11: identical seeds give byte-identical reports, CSV and SVG included."""
-    t0 = time.perf_counter()
     first = _bundle(seed)
     second = _bundle(seed)
     same = {k: first[k] == second[k] for k in first}
@@ -494,7 +476,7 @@ def criterion_determinism(quick=False, seed=0):
         "sha256_prefixes": digests,
         "summary": f"{sum(same.values())}/{len(same)} artifacts byte-identical",
     }
-    return _timed(11, "determinism", passed, details, t0)
+    return passed, details
 
 
 _CRITERIA = (
@@ -538,8 +520,10 @@ def run_all(quick=False, seed=0, out_dir=None, echo=None):
     """
     t0 = time.perf_counter()
     results = []
-    for fn in _CRITERIA:
-        res = fn(quick=quick, seed=seed)
+    for index, fn in enumerate(_CRITERIA, start=1):
+        passed, details = fn(quick=quick, seed=seed)
+        name = fn.__name__.removeprefix("criterion_").replace("_", "-")
+        res = CriterionResult(index=index, name=name, passed=bool(passed), details=details)
         results.append(res)
         if echo is not None:
             echo(res.line())

@@ -52,7 +52,6 @@ from .quantize import (
     operator_norm,
     sgarding_residual,
 )
-from .reporting import emit_plot  # the front end's plotting operation
 from .symbols import SymbolError
 from .symmetrizer import (
     S_symbols,
@@ -63,7 +62,7 @@ from .symmetrizer import (
     pointwise_delta,
 )
 
-__all__ = ["main", "run", "emit_plot"]
+__all__ = ["main", "run"]
 
 PASS, VERDICT_FAIL, USAGE_ERROR = 0, 2, 1
 
@@ -183,8 +182,11 @@ def _cmd_conditions(args):
     _check_nt(args.nt)
     _check_time(model, args.t0, "--t0")
     grid = default_condition_grid(model, nt=args.nt, t_min=args.t0 or None)
+    if args.delta is not None and args.which not in ("H", "E"):
+        raise ValueError(f"--delta applies to --which H and E, not {args.which}")
     if args.which in ("H", "E"):
-        rep = check_condition(model, args.which, grid, delta=args.delta)
+        kw = {} if args.delta is None else {"delta": args.delta}
+        rep = check_condition(model, args.which, grid, **kw)
         payload = rep.to_json_dict()
 
         def sweep():
@@ -369,8 +371,8 @@ def _cmd_evolve(args):
             "margins_passed": margins.passed,
         })
         ok = margins.passed
-        artifacts.append(("energy.svg", lambda: emit_plot(trace, None)))
-        artifacts.append(("margins.svg", lambda: emit_plot(margins, None)))
+        artifacts.append(("energy.svg", lambda: reporting.emit_plot(trace, None)))
+        artifacts.append(("margins.svg", lambda: reporting.emit_plot(margins, None)))
     payload = {
         "model": model.name,
         "source": args.model,
@@ -411,7 +413,7 @@ def _cmd_loss(args):
     artifacts = [("loss.csv", lambda: reporting.csv_text(("k", "jp", "growth"),
                                                          zip(rep.modes, jp, rep.growth)))]
     if ok:
-        artifacts.append(("loss.svg", lambda: emit_plot(rep, None)))
+        artifacts.append(("loss.svg", lambda: reporting.emit_plot(rep, None)))
     _emit(args, payload, artifacts)
     return PASS if ok else VERDICT_FAIL
 
@@ -458,7 +460,7 @@ def _cmd_regularize(args):
     artifacts = [
         ("regularize.csv",
          lambda: reporting.csv_text(columns, (dataclasses.astuple(r) for r in rep.rows))),
-        ("regularize.svg", lambda: emit_plot(rep, None)),
+        ("regularize.svg", lambda: reporting.emit_plot(rep, None)),
     ]
     _emit(args, payload, artifacts)
     return PASS if rep.passed else VERDICT_FAIL
@@ -497,8 +499,8 @@ def _build_parser():
     p = sub.add_parser("conditions", help="degeneracy condition checks")
     _add_model(p)
     p.add_argument("--which", choices=("H", "E", "beta1", "glaeser"), default="E")
-    p.add_argument("--delta", type=float, default=1e-6,
-                   help="required lower-bound constant")
+    p.add_argument("--delta", type=float, default=None,
+                   help="required lower-bound constant for H and E (default 1e-6)")
     p.add_argument("--t0", type=float, default=0.0, help="smallest grid t (0: auto)")
     p.add_argument("--nt", type=int, default=64)
     p.add_argument("--out")

@@ -213,15 +213,14 @@ def check_condition(model: HyperbolicModel, which, grid=None, delta=1e-6):
     )
 
 
-def check_beta1_bound(model: HyperbolicModel, grid=None, eps=0.1):
-    """Sufficient criterion for (E): |beta1| <= ((1 - eps)/sqrt 3) sqrt(alpha).
+def check_beta1_bound(model: HyperbolicModel, grid=None):
+    """Sufficient criterion for (E): |beta1| <= ((1 - eps)/sqrt 3) sqrt(alpha), eps = 0.1.
 
     beta1 = d b/d t at t = 0.  delta_best reports the largest admissible eps
-    (1 - sqrt(3) * sup |beta1|/sqrt(alpha)); holds means delta_best >= eps.
+    (1 - sqrt(3) * sup |beta1|/sqrt(alpha)); holds means delta_best >= 0.1.
     When the bound holds the report cross-checks condition (E) on t <= 0.1 T.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
+    eps = 0.1
     if grid is None:
         grid = default_condition_grid(model)
     xg = grid.x_vals[:, None]

@@ -110,7 +110,7 @@ class Assembler:
         self.a = Layout(self.ops, ("a",), lambda a: [[a]])
 
     def cfl_dt(self, cfl):
-        max_a = self.model.report.max_a if self.model.report else 1.0
+        max_a = self.model.report.max_a
         return cfl / ((math.sqrt(max(max_a, 0.0)) + 1.0) * float(np.max(self._jp)))
 
     def apply(self, t, V):
@@ -479,8 +479,8 @@ class CutoffReport:
     flagged: tuple
 
 
-def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
-    """Scaling of smooth frequency cutoffs against the generator.
+def frequency_cutoff_check(model, lot, grid, nus):
+    """Scaling of smooth frequency cutoffs against the generator at t = 0.5.
 
     chi_nu multiplies mode k by taper(|nu k w0|): identity below 1/nu, zero
     above 2/nu.  Reports nu |A_nu| and nu^-1 |[chi_nu, M]|, which symbol
@@ -495,7 +495,7 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
     row.  Neither M, C nor R^H is formed.
     """
     N = grid.N
-    R = Assembler(model, lot, grid).R(t)
+    R = Assembler(model, lot, grid).R(0.5)
     adjoint = lambda U: (U.conj().T @ R).conj().T  # R^H U for U of shape (N,) or (N, m)
     freqs_abs = np.abs(np.concatenate([grid.freqs] * 3))
     shift_sq = np.concatenate([grid.jp_values**2] * 2 + [np.zeros(N)])  # M^H M - R^H R
@@ -506,16 +506,16 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
         chi_half = _taper(0.5 * nu * freqs_abs)
         chi_full = _taper(nu * freqs_abs)
 
-        def lowpass_gram(v, chi=chi_half):
-            """chi M^H M chi v, with M^H M = R^H R + diag(jp^2, jp^2, 0) from the shifts."""
-            return chi * adjoint(R @ (chi * v)) + chi**2 * shift_sq * v
+        def lowpass_gram(v):
+            """chi M^H M chi v for chi = chi_half, with M^H M = R^H R + diag(jp^2, jp^2, 0)."""
+            return chi_half * adjoint(R @ (chi_half * v)) + chi_half**2 * shift_sq * v
 
-        def comm_gram(v, chi=chi_full):
-            """C^H C v: C v = chi R v - R chi v, and C^H u = R^H chi u - chi R^H u."""
-            Rv = R @ np.stack([v, chi * v], axis=1)
-            u = chi[:N] * Rv[:, 0] - Rv[:, 1]
-            RHu = adjoint(np.stack([chi[:N] * u, u], axis=1))
-            return RHu[:, 0] - chi * RHu[:, 1]
+        def comm_gram(v):
+            """C^H C v: C v = chi R v - R chi v, C^H u = R^H chi u - chi R^H u, chi = chi_full."""
+            Rv = R @ np.stack([v, chi_full * v], axis=1)
+            u = chi_full[:N] * Rv[:, 0] - Rv[:, 1]
+            RHu = adjoint(np.stack([chi_full[:N] * u, u], axis=1))
+            return RHu[:, 0] - chi_full * RHu[:, 1]
 
         scaled_low.append(nu * math.sqrt(top_eigenvalue(lowpass_gram, 3 * N)))
         # the <D> shifts commute with chi_nu, so [chi_nu, M] vanishes below the first block row
@@ -532,12 +532,12 @@ def frequency_cutoff_check(model, lot, grid, nus, t=0.5):
 # ---------------------------------------------------------------------------
 # smooth window expressions, extension
 
-def window_expr(center, r_in, r_out, beta_scale=35.0):
+def window_expr(center, r_in, r_out):
     """Smooth periodic plateau: ~1 for |x - center| <= r_in, ~0 beyond r_out.
 
     A logistic in cos(x - center), so the expression stays inside the
-    symbol grammar; plateau flatness is e^-beta_scale (~6e-16 by default).
-    r_out >= pi gives the constant 1.
+    symbol grammar; plateau flatness is e^-35 (~6e-16).  r_out >= pi gives
+    the constant 1.
     """
     if not 0 < r_in < r_out:
         raise ValueError("need 0 < r_in < r_out")
@@ -546,7 +546,7 @@ def window_expr(center, r_in, r_out, beta_scale=35.0):
     halfgap = 0.5 * (math.cos(r_in) - math.cos(r_out))
     mid = 0.5 * (r_in + r_out)
     # keep the logistic exponent below 600 everywhere so exp never overflows
-    beta = min(beta_scale / max(halfgap, 1e-12), 600.0 / (1.0 + math.cos(mid)))
+    beta = min(35.0 / max(halfgap, 1e-12), 600.0 / (1.0 + math.cos(mid)))
     z = Const(beta) * (Const(math.cos(mid)) - call("cos", X - Const(center)))
     return Const(1.0) / (Const(1.0) + call("exp", z))
 
@@ -559,15 +559,16 @@ class ExtensionReport:
     delta_global: float
 
 
-def extend_model(local: HyperbolicModel, window, delta_floor=1e-8):
+def extend_model(local: HyperbolicModel, window):
     """Extend a model satisfying (E) on an x-window to the whole torus.
 
     Uses alpha_ext = chi1 alpha + M chi2 and b_ext = chi1 b with nested
     plateaus chi1 (1 inside, 0 outside the window) and chi2 (0 well inside,
     1 outside).  M is the smallest power of two with
     4 M^3 c0^3 >= 27 sup(chi1 b)^2, keeping the cut region strictly
-    hyperbolic.  The result must pass condition (E) globally; both checks
-    sample xi in [1, 64].
+    hyperbolic.  The local model on the window and the result on the torus
+    must both pass condition (E) with delta 1e-8; both checks sample xi in
+    [1, 64].
     """
     lo, hi = window
     if not hi > lo:
@@ -581,7 +582,7 @@ def extend_model(local: HyperbolicModel, window, delta_floor=1e-8):
         x_vals=np.linspace(lo, hi, 48),
         xi_vals=xi_vals,
     )
-    rep_local = check_condition(local, "E", local_grid, delta=delta_floor)
+    rep_local = check_condition(local, "E", local_grid, delta=1e-8)
     if not rep_local.holds:
         raise ModelError(
             "local model does not satisfy (E) on the window "
@@ -610,7 +611,7 @@ def extend_model(local: HyperbolicModel, window, delta_floor=1e-8):
         period=local.period,
         name=f"extend({local.name})",
     )
-    rep_global = check_condition(ext, "E", default_condition_grid(ext), delta=delta_floor)
+    rep_global = check_condition(ext, "E", default_condition_grid(ext), delta=1e-8)
     if not rep_global.holds:
         raise ModelError(
             f"extension fails (E) globally (delta_best = {rep_global.delta_best:.3e})"

@@ -57,11 +57,11 @@ class HyperbolicModel:
     alpha: Expr
     atilde: Expr
     b: Expr
-    c0: float = 1.0
-    T: float = 1.0
-    period: float = TWO_PI
-    name: str = "custom"
-    report: ValidationReport | None = field(default=None, compare=False)
+    c0: float
+    T: float
+    period: float
+    name: str
+    report: ValidationReport = field(compare=False)
 
     @property
     def a_expr(self):

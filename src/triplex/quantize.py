@@ -216,11 +216,11 @@ def block_weyl(entries, t, grid):
 # ---------------------------------------------------------------------------
 # Taylor stacks in t
 
-def _t_taylor(expr, cap=6):
-    """Taylor coefficient expressions in t, or None when not a polynomial of degree <= cap."""
+def _t_taylor(expr):
+    """Taylor coefficient expressions in t, or None when not a polynomial of degree <= 6."""
     terms = [expr]
     while not is_zero(terms[-1]):
-        if len(terms) > cap + 1:
+        if len(terms) > 7:
             return None
         terms.append(differentiate(terms[-1], "t", 1))
     return terms[:-1] or terms

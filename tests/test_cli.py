@@ -363,10 +363,16 @@ _FP = ["fpcheck", "--model", "g_E", "--grid-k", "4", "--nt", "2"]
     (_FP + ["--delta", "nan", "--c", "1"], "finite delta, got nan"),
     (_FP + ["--delta", "0.5", "--c", "nan"], "finite C, got nan"),
     (_FP + ["--delta", "0.5", "--c", "inf"], "finite C, got inf"),
+    (["conditions", "--model", "g_E", "--which", "beta1", "--delta", "0.3"],
+     "--delta applies to --which H and E, not beta1"),
+    (["conditions", "--model", "g_E", "--which", "glaeser", "--delta", "0.3"],
+     "--delta applies to --which H and E, not glaeser"),
 ], ids=("conditions-delta-nan", "conditions-delta-inf", "evolve-gamma-nan", "evolve-lambda-nan",
-        "evolve-n-weight-inf", "evolve-n-weight-nan-unstable", "fpcheck-delta-nan", "fpcheck-c-nan", "fpcheck-c-inf"))
+        "evolve-n-weight-inf", "evolve-n-weight-nan-unstable", "fpcheck-delta-nan", "fpcheck-c-nan", "fpcheck-c-inf",
+        "conditions-beta1-delta", "conditions-glaeser-delta"))
 def test_non_finite_numeric_flags_are_usage_errors(capsys, argv, match):
-    # each used to give a verdict computed from nan, exit 2, or fail inside LAPACK
+    # each used to give a verdict computed from nan, exit 2, or fail inside LAPACK; --delta
+    # with beta1 (its margin is a fixed 0.1) or glaeser (no constant) was ignored, exit 0
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and match in captured.err

@@ -139,14 +139,14 @@ def test_degenerate_family_matches_closed_form():
 def test_beta1_bound_recovers_margin_constant():
     # b = t ((1-eps)/sqrt3)(1 - cos x) gives sup |b_t| / sqrt(alpha) exactly
     # (1-eps)/sqrt3, so the largest admissible margin is eps itself
-    rep = check_beta1_bound(gallery("g_E", eps=0.25), eps=0.2)
+    rep = check_beta1_bound(gallery("g_E", eps=0.25))  # 0.25 >= the required 0.1
     assert rep.holds
     assert rep.delta_best == pytest.approx(0.25, abs=1e-12)
     assert rep.extras["cross_check_E_holds"]
 
 
 def test_beta1_bound_fails_for_contact_degeneracy():
-    rep = check_beta1_bound(gallery("g_ex21m"), eps=0.5)
+    rep = check_beta1_bound(gallery("g_ex21m"))  # its best margin 1 - sqrt 3 is below 0.1
     assert not rep.holds
 
 

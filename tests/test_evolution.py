@@ -332,9 +332,8 @@ def test_cutoff_norms_match_the_dense_generator(source, K, flagged):
     lot = LowerOrderTerms.random_trig(20, amplitude=0.4)
     grid = FourierGrid(K)
     nus = (0.5, 0.25, 0.125, 0.0625)
-    t = 0.3
-    rep = frequency_cutoff_check(model, lot, grid, nus, t=t)
-    gen = _direct_generator(model, lot, t, grid)
+    rep = frequency_cutoff_check(model, lot, grid, nus)  # at t = 0.5
+    gen = _direct_generator(model, lot, 0.5, grid)
     freqs_abs = np.abs(np.concatenate([grid.freqs] * 3))
     for nu, low, comm in zip(nus, rep.scaled_low, rep.scaled_comm):
         chi_half, chi = _taper(0.5 * nu * freqs_abs), _taper(nu * freqs_abs)
@@ -346,12 +345,13 @@ def test_cutoff_norms_match_the_dense_generator(source, K, flagged):
 
 
 def test_window_expr_is_a_plateau():
-    chi = window_expr(math.pi, 1.0, 2.0, beta_scale=8.0)
+    # flatness e^-35: 1 to rounding on the plateau, 9.3e-35 beyond r_out
+    chi = window_expr(math.pi, 1.0, 2.0)
     xs = np.array([math.pi, math.pi - 0.5, math.pi + 0.5])
     vals = np.asarray(chi.evaluate(0.0, xs, 0.0))
-    assert np.all(vals > 0.99)
+    assert np.all(vals >= 1.0 - 1e-15)
     far = np.asarray(chi.evaluate(0.0, np.array([0.0, 2 * math.pi]), 0.0))
-    assert np.all(np.abs(far) < 1e-6)
+    assert np.all(np.abs(far) < 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +499,10 @@ def test_extend_model_certifies_global_condition():
 
 
 def test_extend_model_rejects_bad_local_model():
-    # the contact degeneracy inside the window caps the measured ratio well
-    # under the requested floor
+    # the window's corner (t, x) = (T, pi/4) lies on g_ex21p's double-root curve
+    # t = 2 sin^2 x, so the measured ratio falls under the floor 1e-8
     with pytest.raises(ModelError):
-        extend_model(gallery("g_ex21p"), (0.5, 2.5), delta_floor=1e-3)
+        extend_model(gallery("g_ex21p"), (math.pi / 4, math.pi / 2))
     with pytest.raises(ValueError):
         extend_model(gallery("g_E"), (1.0, -1.0))
 
